@@ -2,21 +2,13 @@
 //!
 //! Measures the per-query cost of the fan-out/fan-in pipeline at 4 shards
 //! under the published QT1..QT11 mix. The transports come from the
-//! scenario's `param.transport` sweep; the queue-based ones (`channels`,
-//! `tcp`) run in two variants:
+//! scenario's `param.transport` sweep. Every transport sends one batch per
+//! (round, shard) with shared `Arc` payloads; the queue-based ones
+//! (`channels`, `tcp`) report as `batched`, and `rings`, the
+//! thread-per-core SPSC data path, is keyed `inproc/rings` next to its
+//! channel sibling.
 //!
-//! * `batched`   — the shipped path: one `SubQueryBatch` per (round, shard),
-//!   shared `Arc` payloads, flattened [`IdLists`] replies, pooled frames.
-//! * `unbatched` — the retained reference (`batch_fanout: false`), which
-//!   reproduces the pre-batching data path: one message + one reply channel
-//!   per sub-query, per-sub-query payload copies, and per-vertex list
-//!   materialization. This is the "before" column.
-//!
-//! `rings` is the thread-per-core SPSC data path; batching is structural
-//! there (one ring message per shard per round), so it reports a single
-//! variant, keyed `inproc/rings` next to its channel siblings.
-//!
-//! Two metrics per (transport, variant): wall-clock time per query
+//! Two metrics per transport: wall-clock time per query
 //! (criterion), and global-allocator allocation events per query
 //! (`*_allocs` rows, printed in the same line format so
 //! `scripts/check.sh` parses both into one JSON file — those entries are
@@ -66,7 +58,7 @@ fn datapath_spec() -> ScenarioSpec {
     ScenarioSpec::load(&path).unwrap_or_else(|e| panic!("cannot load {}: {e}", path.display()))
 }
 
-fn cluster_config(spec: &ScenarioSpec, transport: TransportKind, batch_fanout: bool) -> ClusterConfig {
+fn cluster_config(spec: &ScenarioSpec, transport: TransportKind) -> ClusterConfig {
     ClusterConfig {
         n_shards: spec.liquid().unwrap_or_else(|e| panic!("{e}")).shards as usize,
         n_brokers: 1,
@@ -83,7 +75,6 @@ fn cluster_config(spec: &ScenarioSpec, transport: TransportKind, batch_fanout: b
         },
         broker: BrokerConfig {
             engines: 2,
-            batch_fanout,
             ..BrokerConfig::default()
         },
         transport,
@@ -189,52 +180,36 @@ fn bench_datapath(c: &mut Criterion) {
         .unwrap_or_else(|e| panic!("{e}"))
         .to_vec();
     for name in &sweep {
-        let (transport, tname, variants): (TransportKind, &str, &[(bool, &str)]) =
-            match name.as_str() {
-                "channels" => (
-                    TransportKind::InProc,
-                    "inproc",
-                    &[(true, "batched"), (false, "unbatched")],
-                ),
-                "rings" => (TransportKind::Rings, "inproc", &[(true, "rings")]),
-                "tcp" => (
-                    TransportKind::Tcp,
-                    "tcp",
-                    &[(true, "batched"), (false, "unbatched")],
-                ),
-                other => panic!("unknown transport `{other}` in param.transport"),
+        let (transport, key) = match name.as_str() {
+            "channels" => (TransportKind::InProc, "inproc/batched"),
+            "rings" => (TransportKind::Rings, "inproc/rings"),
+            "tcp" => (TransportKind::Tcp, "tcp/batched"),
+            other => panic!("unknown transport `{other}` in param.transport"),
+        };
+        let policy = broker_policy.clone();
+        let seed = spec.seed;
+        let cluster = Cluster::spawn(&cluster_config(&spec, transport), move |reg, engines| {
+            let env = PolicyEnv {
+                registry: reg,
+                slos: liquid_slos(reg),
+                parallelism: engines,
             };
-        for &(batch, vname) in variants {
-            let policy = broker_policy.clone();
-            let seed = spec.seed;
-            let cluster =
-                Cluster::spawn(&cluster_config(&spec, transport, batch), move |reg, engines| {
-                    let env = PolicyEnv {
-                        registry: reg,
-                        slos: liquid_slos(reg),
-                        parallelism: engines,
-                    };
-                    policy.build(&env, seed)
-                });
-            let queries = mix_queries(spec.seed, cluster.vertices(), n_queries);
+            policy.build(&env, seed)
+        });
+        let queries = mix_queries(spec.seed, cluster.vertices(), n_queries);
 
-            let mut i = 0usize;
-            c.bench_function(&format!("liquid_datapath/{tname}/{vname}"), |b| {
-                b.iter(|| {
-                    let q = queries[i % queries.len()];
-                    i += 1;
-                    black_box(cluster.execute(q))
-                })
-            });
+        let mut i = 0usize;
+        c.bench_function(&format!("liquid_datapath/{key}"), |b| {
+            b.iter(|| {
+                let q = queries[i % queries.len()];
+                i += 1;
+                black_box(cluster.execute(q))
+            })
+        });
 
-            let (per_query, executed) = allocs_per_query(&cluster, &queries, alloc_passes);
-            report_allocs(
-                &format!("liquid_datapath/{tname}/{vname}_allocs"),
-                per_query,
-                executed,
-            );
-            cluster.shutdown();
-        }
+        let (per_query, executed) = allocs_per_query(&cluster, &queries, alloc_passes);
+        report_allocs(&format!("liquid_datapath/{key}_allocs"), per_query, executed);
+        cluster.shutdown();
     }
 }
 

@@ -99,7 +99,6 @@ impl LiquidStudy {
             },
             ..ClusterConfig::default()
         };
-        cluster_cfg.broker.batch_fanout = liquid.batch_fanout;
         cluster_cfg.graph.vertices = liquid.graph_vertices;
         cluster_cfg.graph.edges_per_vertex = liquid.graph_edges_per_vertex;
         let registry = liquid_registry();

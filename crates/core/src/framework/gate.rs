@@ -154,16 +154,20 @@ impl<T> Gate<T> {
                     deadline,
                     payload,
                 };
-                match self.queue.push(entry) {
-                    Ok(()) => {
-                        self.stats.on_accepted(ty);
-                        self.policy.on_enqueued(ty, now);
+                // Account under the queue lock, before an engine can pop
+                // the entry: its `on_dequeued` must never run first.
+                let accounted = self.queue.push_with(entry, || {
+                    self.stats.on_accepted(ty);
+                    self.policy.on_enqueued(ty, now);
+                });
+                match accounted {
+                    Ok(queue_len) => {
                         if self.sink.enabled() {
                             self.sink.emit(&Event::Admitted { at: now, ty });
                             self.sink.emit(&Event::Enqueued {
                                 at: now,
                                 ty,
-                                queue_len: self.queue.len(),
+                                queue_len,
                             });
                         }
                         Ok(())
@@ -189,8 +193,9 @@ impl<T> Gate<T> {
     /// the gate (the SPSC-ring data path): Point-1 receive accounting, the
     /// policy decision, and rejection stats/events — without touching the
     /// gate's own mutex-guarded queue. On acceptance the caller must either
-    /// publish the query to its external queue and report
-    /// [`Gate::enqueued_external`] with the returned timestamp, or report
+    /// publish the query to its external queue, reporting
+    /// [`Gate::enqueued_external`] with the returned timestamp before the
+    /// query becomes visible to consumers, or report
     /// [`Gate::reject_full_external`] if the queue had no room (the
     /// external queue's bound plays the role of `L_limit`).
     pub fn admit_external(&self, ty: TypeId) -> Result<Nanos, RejectReason> {
@@ -208,10 +213,13 @@ impl<T> Gate<T> {
         }
     }
 
-    /// Completes an [`Gate::admit_external`] acceptance after the query was
+    /// Completes an [`Gate::admit_external`] acceptance for a query being
     /// published to the external queue: accepted stats, the policy's
-    /// enqueue hook, and the admitted/enqueued events. `queue_len` is the
-    /// external queue's length with this query included.
+    /// enqueue hook, and the admitted/enqueued events. Call it once the
+    /// publish is certain to succeed but before a consumer can pop the
+    /// query (for an SPSC ring, inside the push's fill closure), so the
+    /// consumer's [`Gate::dequeued_external`] never runs first. `queue_len`
+    /// is the external queue's length with this query included.
     pub fn enqueued_external(&self, ty: TypeId, enqueued_at: Nanos, queue_len: usize) {
         self.stats.on_accepted(ty);
         self.policy.on_enqueued(ty, enqueued_at);

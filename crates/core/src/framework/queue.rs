@@ -179,6 +179,13 @@ impl<T> AdmissionQueue<T> {
     /// Appends an entry, failing (returning it back) when the queue is full
     /// or closed.
     pub fn push(&self, entry: Entry<T>) -> Result<(), Entry<T>> {
+        self.push_with(entry, || {}).map(|_| ())
+    }
+
+    /// [`AdmissionQueue::push`] that runs `on_accept` under the queue lock
+    /// once the entry is certain to be queued, before any consumer can pop
+    /// it. Returns the queue length with the entry included.
+    pub fn push_with(&self, entry: Entry<T>, on_accept: impl FnOnce()) -> Result<usize, Entry<T>> {
         let mut inner = self.inner.lock();
         if inner.closed {
             return Err(entry);
@@ -188,10 +195,12 @@ impl<T> AdmissionQueue<T> {
                 return Err(entry);
             }
         }
+        on_accept();
         inner.store.push(entry);
+        let len = inner.store.len();
         drop(inner);
         self.available.notify_one();
-        Ok(())
+        Ok(len)
     }
 
     /// Dequeues the oldest entry, blocking up to `timeout` (or indefinitely

@@ -605,7 +605,10 @@ impl AdmissionPolicy for Bouncer {
 
     #[inline]
     fn on_dequeued(&self, ty: TypeId, _wait: Nanos, _now: Nanos) {
-        self.per_type[ty.index()].queued.fetch_sub(1, Ordering::Relaxed);
+        let before = self.per_type[ty.index()].queued.fetch_sub(1, Ordering::Relaxed);
+        // A dequeue with nothing queued means a producer published before
+        // it accounted; the wrapped count would saturate Eq. 2 demand.
+        debug_assert!(before > 0, "queued underflow for type {}", ty.index());
         self.table.on_dequeued(ty.index());
     }
 

@@ -152,9 +152,6 @@ pub struct LiquidSpec {
     pub brokers: u32,
     /// Broker→shard transport (`liquid.transport = channels | rings | tcp`).
     pub transport: TransportSpec,
-    /// Coalesce per-round sub-queries into per-shard batches
-    /// (`liquid.batch_fanout`).
-    pub batch_fanout: bool,
     /// Shard-tier AcceptFraction threshold (`liquid.shard_max_utilization`).
     pub shard_max_utilization: f64,
     /// Traffic points as `label:factor` pairs, factors relative to measured
@@ -175,7 +172,6 @@ impl Default for LiquidSpec {
             strategy: StrategySpec::PrimaryOnly,
             brokers: 1,
             transport: TransportSpec::Channels,
-            batch_fanout: true,
             shard_max_utilization: defaults::LIQUID_SHARD_MAX_UTILIZATION,
             rate_points: defaults::LIQUID_RATE_LABELS
                 .iter()
@@ -355,17 +351,6 @@ impl LiquidSpec {
                     }
                 }
             }
-            "batch_fanout" => {
-                self.batch_fanout = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(SpecError(format!(
-                            "liquid.batch_fanout must be `true` or `false`, got `{other}`"
-                        )))
-                    }
-                }
-            }
             "shard_max_utilization" => {
                 self.shard_max_utilization =
                     parse_pos_f64("liquid.shard_max_utilization", value)?;
@@ -399,7 +384,7 @@ impl LiquidSpec {
             other => {
                 return Err(SpecError(format!(
                     "unknown key `liquid.{other}` (shards, replicas, strategy, \
-                     brokers, transport, batch_fanout, shard_max_utilization, \
+                     brokers, transport, shard_max_utilization, \
                      rate_factors, graph_vertices, graph_edges_per_vertex)"
                 )))
             }
@@ -430,9 +415,6 @@ impl LiquidSpec {
                 }
                 .to_string(),
             );
-        }
-        if self.batch_fanout != d.batch_fanout {
-            out.push(format!("liquid.batch_fanout = {}", self.batch_fanout));
         }
         if self.shard_max_utilization != d.shard_max_utilization {
             out.push(format!(
@@ -548,7 +530,6 @@ mod tests {
             ("liquid.replicas", "2"),
             ("liquid.strategy", "hedged"),
             ("liquid.transport", "tcp"),
-            ("liquid.batch_fanout", "false"),
             ("liquid.rate_factors", "low:0.5 high:1.5"),
             ("liquid.graph_vertices", "1000000"),
             ("liquid.graph_edges_per_vertex", "4"),
@@ -560,7 +541,6 @@ mod tests {
         assert_eq!(liquid.replicas, 2);
         assert_eq!(liquid.strategy, StrategySpec::Hedged);
         assert_eq!(liquid.transport, TransportSpec::Tcp);
-        assert!(!liquid.batch_fanout);
         assert_eq!(
             liquid.rate_points,
             vec![("low".to_string(), 0.5), ("high".to_string(), 1.5)]

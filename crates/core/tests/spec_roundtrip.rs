@@ -161,7 +161,6 @@ fn arb_liquid() -> BoxedStrategy<LiquidSpec> {
             Just(TransportSpec::Rings),
             Just(TransportSpec::Tcp)
         ],
-        any::<bool>(),
         unit_frac(),
         (
             (ident(), prop::collection::vec(pos_frac(), 1..6)),
@@ -177,7 +176,7 @@ fn arb_liquid() -> BoxedStrategy<LiquidSpec> {
         ),
     )
         .prop_map(
-            |(shards, brokers, transport, batch_fanout, shard_max_utilization, extra)| {
+            |(shards, brokers, transport, shard_max_utilization, extra)| {
                 let (points, graph, replication) = extra;
                 let (prefix, factors) = points;
                 let (graph_vertices, graph_edges_per_vertex) = graph;
@@ -188,7 +187,6 @@ fn arb_liquid() -> BoxedStrategy<LiquidSpec> {
                     strategy,
                     brokers,
                     transport,
-                    batch_fanout,
                     shard_max_utilization,
                     rate_points: factors
                         .into_iter()

@@ -346,11 +346,6 @@ pub struct BrokerConfig {
     /// records admission/queue/round/sub-query spans, and finalizes at the
     /// outcome. `None` keeps tracing entirely off the admission path.
     pub tracer: Option<Arc<Tracer>>,
-    /// Coalesce each round's sub-queries to one shard into a single batch
-    /// (one message, one reply channel, one shard admission decision).
-    /// `false` falls back to one message per sub-query — kept for
-    /// batched-vs-unbatched equivalence testing and benchmarking.
-    pub batch_fanout: bool,
 }
 
 impl Default for BrokerConfig {
@@ -363,7 +358,6 @@ impl Default for BrokerConfig {
             query_deadline: None,
             sink: None,
             tracer: None,
-            batch_fanout: true,
         }
     }
 }
@@ -464,12 +458,9 @@ impl Broker {
                 let router = Arc::clone(&router);
                 let timeout = cfg.subquery_timeout;
                 let tracer = tracer.clone();
-                let batch = cfg.batch_fanout;
                 std::thread::Builder::new()
                     .name(format!("broker-engine{i}"))
-                    .spawn(move || {
-                        engine_loop(&gate, &shards, &router, timeout, batch, tracer.as_deref())
-                    })
+                    .spawn(move || engine_loop(&gate, &shards, &router, timeout, tracer.as_deref()))
                     .expect("failed to spawn broker engine")
             })
             .collect();
@@ -696,10 +687,17 @@ impl Broker {
                 ClientOutcome::Rejected(reason)
             }
             Ok(now) => {
+                // Account inside the fill closure: it runs only once the
+                // ring has room, and before the slot is published, so the
+                // engine's `dequeued_external` can never run ahead of this
+                // query's `enqueued_external`.
+                let depth = lane.req.len() + 1;
+                let gate = &self.gate;
                 let pushed = lane.req.try_push(|slot| {
                     slot.query = query;
                     slot.enqueued_at = now;
                     slot.ctx = ctx;
+                    gate.enqueued_external(ty, now, depth);
                 });
                 if !pushed {
                     // The bounded ring is the lane's queue; full = QueueFull.
@@ -707,8 +705,6 @@ impl Broker {
                     self.trace_early_reject(ty, ctx);
                     return ClientOutcome::Rejected(RejectReason::QueueFull);
                 }
-                let depth = lane.req.len();
-                self.gate.enqueued_external(ty, now, depth);
                 match lane.rep.pop_wait(RINGS_CLIENT_TIMEOUT, |slot| {
                     std::mem::replace(&mut slot.outcome, ClientOutcome::Failed)
                 }) {
@@ -811,21 +807,13 @@ fn engine_loop(
     shards: &[Arc<dyn ShardClient>],
     router: &Arc<Router>,
     timeout: Duration,
-    batch: bool,
     tracer: Option<&Tracer>,
 ) {
     // One executor per engine thread: its scratch buffers (sub-query
     // batches, reply accumulators, plan frontiers) live for the thread's
     // lifetime and are reused across queries.
     let n_shards = shards.len() / router.replicas;
-    let mut exec = Exec::new(
-        Port::Channels(shards),
-        n_shards,
-        router,
-        timeout,
-        batch,
-        gate.clock(),
-    );
+    let mut exec = Exec::new(Port::Channels(shards), n_shards, router, timeout, gate.clock());
     loop {
         match gate.take(Some(Duration::from_millis(100))) {
             TakeOutcome::Query(admitted) => {
@@ -919,16 +907,7 @@ fn rings_engine_loop(
         })
         .collect();
     let n_shards = ports.len() / router.replicas;
-    // Rings mode is always batched: the ring slot carries the whole
-    // per-shard group.
-    let mut exec = Exec::new(
-        Port::Rings(&mut ports),
-        n_shards,
-        router,
-        timeout,
-        true,
-        gate.clock(),
-    );
+    let mut exec = Exec::new(Port::Rings(&mut ports), n_shards, router, timeout, gate.clock());
     // Flight-recorder breadcrumb state: emit `engine_state` only on
     // park/resume *transitions* (a 1ms park timeout re-park is not one),
     // so an idle cluster leaves two records, not a 1kHz stream.
@@ -1150,13 +1129,6 @@ impl PlanTrace {
     }
 }
 
-/// An in-flight sub-query: the outcome channel plus, when tracing, the
-/// sub-query span to close at the wait.
-struct PendingSub {
-    rx: Receiver<SubOutcome>,
-    sub_span: Option<SpanId>,
-}
-
 /// An in-flight per-shard batch: one channel for the whole group. The
 /// batch's [`SpanKind::SubQuery`] span covers every item it carries.
 struct PendingBatch {
@@ -1318,9 +1290,6 @@ struct Exec<'a> {
     n_shards: usize,
     router: &'a Router,
     timeout: Duration,
-    /// Coalesce per-shard fan-out into batches (see
-    /// [`BrokerConfig::batch_fanout`]); always `true` in rings mode.
-    batch: bool,
     clock: &'a Arc<dyn Clock>,
     /// The running query's trace, if the broker traces.
     trace: Option<PlanTrace>,
@@ -1394,11 +1363,10 @@ fn reject_group(sc: &mut Scratch, s: usize) {
 }
 
 /// Runs one staged round over channel-mode shard clients: fan out every
-/// group (or item, unbatched) before waiting any, then demultiplex the
+/// per-shard group as one batch before waiting any, then demultiplex the
 /// outcomes into the per-shard [`RepBatch`]es. Every send is routed to a
 /// replica by the broker's [`RouteStrategy`]; at R=1 the routing collapses
-/// to the identity (`phys(s, 0) == s`) and the path is byte-identical to
-/// the pre-replication one.
+/// to the identity (`phys(s, 0) == s`).
 fn run_round_channels(
     sc: &mut Scratch,
     trace: &mut Option<PlanTrace>,
@@ -1406,81 +1374,7 @@ fn run_round_channels(
     clients: &[Arc<dyn ShardClient>],
     router: &Router,
     timeout: Duration,
-    batch: bool,
 ) -> Result<(), PlanError> {
-    if !batch {
-        // The fallback reproduces the pre-batching data path faithfully —
-        // one message and one reply channel per sub-query, each carrying
-        // its own copy of any shared payload (the old `n.clone()` per
-        // `CountIntersect` target) — so the `liquid_datapath` bench
-        // measures an honest before/after. Routing applies per item;
-        // hedging never does (it is a batch-path feature).
-        let mut pendings: Vec<(usize, usize, SubTag, PendingSub)> =
-            Vec::with_capacity(sc.slots.len());
-        for oi in 0..sc.shard_order.len() {
-            let s = sc.shard_order[oi];
-            for idx in 0..sc.per_shard[s].len() {
-                let sub = deep_copy_payload(sc.per_shard[s][idx].clone());
-                let tag = sc.tags[s][idx];
-                let r = router.pick(s);
-                let (ctx, sub_span) = trace_send(trace, clock, s);
-                router.begin(s, r);
-                router.note_routed(clock, s, r);
-                pendings.push((
-                    s,
-                    r,
-                    tag,
-                    PendingSub {
-                        rx: clients[router.phys(s, r)].submit(sub, ctx),
-                        sub_span,
-                    },
-                ));
-            }
-            sc.per_shard[s].clear();
-        }
-        let mut first_err = None;
-        for (s, r, tag, pending) in pendings {
-            let result = pending.rx.recv_timeout(timeout);
-            router.end(s, r);
-            trace_recv(trace, clock, pending.sub_span);
-            match result {
-                Ok(outcome) => {
-                    if let Err(e) = stage_outcome(&mut sc.resp[s], tag, outcome) {
-                        first_err = first_err.or(Some(e));
-                    }
-                }
-                Err(_) => first_err = first_err.or(Some(PlanError::ShardFailed)),
-            }
-        }
-        return match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        };
-    }
-    if sc.slots.len() == 1 && !router.hedging() {
-        // Single-item fast path: most rounds of the cheap templates carry
-        // exactly one sub-query, and wrapping it in a batch costs a `Vec`
-        // build broker-side and a reply-vector build shard-side. Send it
-        // as a plain message instead (still one admission decision either
-        // way, so batched and unbatched stay decision-equivalent). In
-        // hedged mode the round takes the batch path instead, so every
-        // round — single-item included — is hedgeable and cancellable.
-        let s = sc.slots[0];
-        let sub = sc.per_shard[s].pop().expect("one staged item");
-        let tag = sc.tags[s][0];
-        let r = router.pick(s);
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        router.begin(s, r);
-        router.note_routed(clock, s, r);
-        let rx = clients[router.phys(s, r)].submit(sub, ctx);
-        let result = rx.recv_timeout(timeout);
-        router.end(s, r);
-        trace_recv(trace, clock, sub_span);
-        return match result {
-            Ok(outcome) => stage_outcome(&mut sc.resp[s], tag, outcome),
-            Err(_) => Err(PlanError::ShardFailed),
-        };
-    }
     if router.hedging() {
         return run_round_channels_hedged(sc, trace, clock, clients, router, timeout);
     }
@@ -1772,14 +1666,16 @@ fn run_round_rings(
                 };
                 let per_shard = &mut sc.per_shard[s];
                 let planted = flag.clone();
+                let depth = port.rings.req.len() + 1;
+                let host = &port.host;
                 let pushed = port.rings.req.try_push(|slot| {
                     std::mem::swap(&mut slot.subs, per_shard);
                     slot.enqueued_at = now;
                     slot.ctx = ctx;
                     slot.cancel = planted;
+                    host.ring_enqueued(now, depth);
                 });
                 if pushed {
-                    port.host.ring_enqueued(now, port.rings.req.len());
                     router.begin(s, r);
                     router.note_routed(clock, s, r);
                     sc.sent.push((s, r, sub_span, now));
@@ -1853,14 +1749,17 @@ fn run_round_rings(
                 let flag = Arc::new(AtomicBool::new(false));
                 let copy = &mut sc.hedge_copies[si];
                 let planted = Some(Arc::clone(&flag));
-                let pushed = ports[hp].rings.req.try_push(|slot| {
+                let port = &mut ports[hp];
+                let depth = port.rings.req.len() + 1;
+                let host = &port.host;
+                let pushed = port.rings.req.try_push(|slot| {
                     std::mem::swap(&mut slot.subs, copy);
                     slot.enqueued_at = now;
                     slot.ctx = None;
                     slot.cancel = planted;
+                    host.ring_enqueued(now, depth);
                 });
                 if pushed {
-                    ports[hp].host.ring_enqueued(now, ports[hp].rings.req.len());
                     router.begin(s, hr);
                     router.note_hedge_fired(now, s, r, hr, delay.as_nanos() as Nanos);
                     fired_at = now;
@@ -2005,7 +1904,6 @@ impl<'a> Exec<'a> {
         n_shards: usize,
         router: &'a Router,
         timeout: Duration,
-        batch: bool,
         clock: &'a Arc<dyn Clock>,
     ) -> Self {
         Self {
@@ -2013,7 +1911,6 @@ impl<'a> Exec<'a> {
             n_shards,
             router,
             timeout,
-            batch,
             clock,
             trace: None,
             scratch: Scratch::new(n_shards),
@@ -2066,7 +1963,6 @@ impl<'a> Exec<'a> {
                 clients,
                 self.router,
                 self.timeout,
-                self.batch,
             )?,
             Port::Rings(ports) => run_round_rings(
                 &mut self.scratch,
@@ -2197,20 +2093,9 @@ impl<'a> Exec<'a> {
         self.round_begin();
         self.stage_many(frontier, SubTag::NeighborsMany);
         self.run_round()?;
-        let batched = self.batch;
         for &v in frontier {
             let s = self.shard_of(v);
-            let list = self.next_list(s)?;
-            if batched {
-                each(list);
-            } else {
-                // The pre-batching response format carried one `Vec` per
-                // frontier vertex; the fallback re-materializes that
-                // per-vertex allocation so the datapath bench's "before"
-                // keeps the old allocation profile.
-                let owned = list.to_vec();
-                each(&owned);
-            }
+            each(self.next_list(s)?);
         }
         Ok(())
     }
@@ -2273,18 +2158,6 @@ impl<'a> Exec<'a> {
         self.scratch.group_ids = ids;
         self.scratch.group_starts = starts;
         self.scratch.group_ends = ends;
-    }
-}
-
-/// Replaces a shared (`Arc`) payload with a freshly-allocated copy. The
-/// unbatched fallback sends this instead of sharing, reproducing the
-/// per-sub-query payload clones of the pre-batching data path.
-fn deep_copy_payload(sub: SubQuery) -> SubQuery {
-    match sub {
-        SubQuery::NeighborsMany(ids) => SubQuery::NeighborsMany(Arc::new(ids.to_vec())),
-        SubQuery::DegreeMany(ids) => SubQuery::DegreeMany(Arc::new(ids.to_vec())),
-        SubQuery::CountIntersect(v, ids) => SubQuery::CountIntersect(v, Arc::new(ids.to_vec())),
-        other => other,
     }
 }
 

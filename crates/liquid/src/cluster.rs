@@ -796,33 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_fanout_agrees_with_batched() {
-        let batched = Cluster::spawn(&tiny_config(), |_reg, _p| Arc::new(AlwaysAccept::new()));
-        let unbatched_cfg = ClusterConfig {
-            broker: BrokerConfig {
-                batch_fanout: false,
-                ..tiny_config().broker
-            },
-            ..tiny_config()
-        };
-        let unbatched =
-            Cluster::spawn(&unbatched_cfg, |_reg, _p| Arc::new(AlwaysAccept::new()));
-        for kind in [
-            QueryKind::Qt5MutualCount,
-            QueryKind::Qt7TwoHopCount,
-            QueryKind::Qt8TriangleCount,
-            QueryKind::Qt11Distance4,
-        ] {
-            for u in [2u32, 61, 444] {
-                let q = Query { kind, u, v: u + 7 };
-                assert_eq!(batched.execute(q), unbatched.execute(q), "{kind:?} u={u}");
-            }
-        }
-        batched.shutdown();
-        unbatched.shutdown();
-    }
-
-    #[test]
     fn cluster_sink_observes_query_lifecycles() {
         use bouncer_core::obs::MemorySink;
         let sink = Arc::new(MemorySink::new());

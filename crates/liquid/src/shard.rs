@@ -40,41 +40,25 @@ pub enum SubOutcome {
     Cancelled,
 }
 
-/// A unit of admitted work: one sub-query, or a round's whole batch from
-/// one broker. A batch is one gate offer (one admission decision, one FIFO
-/// entry) and one reply send, so fan-out cost no longer scales channel
-/// allocations with the number of sub-queries.
-enum Job {
-    Single {
-        sub: SubQuery,
-        reply: Sender<SubOutcome>,
-        /// Trace context of the parent sub-query span, when traced.
-        ctx: Option<TraceContext>,
-    },
-    Batch {
-        subs: Vec<SubQuery>,
-        reply: Sender<Vec<SubOutcome>>,
-        /// Trace context of the parent (per-shard) sub-query span.
-        ctx: Option<TraceContext>,
-        /// Cancellation token, set by the broker when a hedged twin won.
-        /// Checked once, at dequeue — after the demand refund, before any
-        /// execution.
-        cancel: Option<Arc<AtomicBool>>,
-    },
+/// A unit of admitted work: a round's whole batch from one broker. A batch
+/// is one gate offer (one admission decision, one FIFO entry) and one reply
+/// send, so fan-out cost does not scale channel allocations with the number
+/// of sub-queries.
+struct Job {
+    subs: Vec<SubQuery>,
+    reply: Sender<Vec<SubOutcome>>,
+    /// Trace context of the parent (per-shard) sub-query span.
+    ctx: Option<TraceContext>,
+    /// Cancellation token, set by the broker when a hedged twin won.
+    /// Checked once, at dequeue — after the demand refund, before any
+    /// execution.
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Job {
-    /// Delivers the admission-rejection outcome (the early error response
-    /// of §2): per-item `Rejected` for a batch.
-    fn reject(self) {
-        match self {
-            Job::Single { reply, .. } => {
-                let _ = reply.send(SubOutcome::Rejected);
-            }
-            Job::Batch { subs, reply, .. } => {
-                let _ = reply.send(vec![SubOutcome::Rejected; subs.len()]);
-            }
-        }
+    /// Replies `outcome` for every item without executing any.
+    fn answer_all(self, outcome: SubOutcome) {
+        let _ = self.reply.send(vec![outcome; self.subs.len()]);
     }
 }
 
@@ -235,7 +219,9 @@ impl ShardHost {
         self.gate.admit_external(DEFAULT_TYPE)
     }
 
-    /// Rings-mode enqueue bookkeeping after a successful ring push.
+    /// Rings-mode enqueue bookkeeping. Called from inside the ring push's
+    /// fill closure, so it runs only for a push that succeeds and before
+    /// the shard engine can see (and dequeue) the batch.
     pub(crate) fn ring_enqueued(&self, enqueued_at: Nanos, queue_len: usize) {
         self.gate.enqueued_external(DEFAULT_TYPE, enqueued_at, queue_len);
     }
@@ -245,37 +231,11 @@ impl ShardHost {
         self.gate.reject_full_external(DEFAULT_TYPE, at);
     }
 
-    /// Offers a sub-query; the returned channel yields its outcome. A
-    /// rejection is delivered immediately (the early rejection of §2).
-    pub fn submit(&self, sub: SubQuery) -> Receiver<SubOutcome> {
-        self.submit_traced(sub, None)
-    }
-
-    /// [`ShardHost::submit`] with an incoming trace context. When the
-    /// context's `sampled` bit is set (and the host has a tracer), the
-    /// serving engine emits `shard_queue` / `shard_service` spans parented
-    /// under `ctx.parent`.
-    pub fn submit_traced(
-        &self,
-        sub: SubQuery,
-        ctx: Option<TraceContext>,
-    ) -> Receiver<SubOutcome> {
-        let (tx, rx) = bounded(1);
-        // The sender moves into the job — no per-sub-query clone; rejection
-        // replies through the job we get back.
-        if let Err((_reason, job)) = self
-            .gate
-            .offer(DEFAULT_TYPE, Job::Single { sub, reply: tx, ctx })
-        {
-            job.reject();
-        }
-        rx
-    }
-
     /// Offers a round's sub-queries as **one** admission unit; the returned
     /// channel yields one outcome per sub-query, in submission order. A
-    /// rejection rejects the whole batch and is delivered immediately. An
-    /// empty batch resolves immediately without touching the gate.
+    /// rejection rejects the whole batch and is delivered immediately (the
+    /// early rejection of §2). An empty batch resolves immediately without
+    /// touching the gate.
     ///
     /// When `ctx` is sampled, the serving engine emits a single
     /// `shard_queue` / `shard_service` span pair for the whole batch,
@@ -316,16 +276,18 @@ impl ShardHost {
             let _ = tx.send(Vec::new());
             return rx;
         }
+        // The sender moves into the job; a rejection replies through the
+        // job the gate hands back.
         if let Err((_reason, job)) = self.gate.offer(
             DEFAULT_TYPE,
-            Job::Batch {
+            Job {
                 subs,
                 reply: tx,
                 ctx,
                 cancel,
             },
         ) {
-            job.reject();
+            job.answer_all(SubOutcome::Rejected);
         }
         rx
     }
@@ -402,57 +364,34 @@ fn engine_loop(gate: &Gate<Job>, data: &ShardData, tracer: Option<&Tracer>) {
             TakeOutcome::Query(admitted) => {
                 let (ty, enqueued_at, dequeued_at) =
                     (admitted.ty, admitted.enqueued_at, admitted.dequeued_at);
-                match admitted.payload {
-                    Job::Single { sub, reply, ctx } => {
-                        let outcome = match execute(data, &sub) {
-                            Some(resp) => SubOutcome::Ok(resp),
-                            None => SubOutcome::Error,
-                        };
-                        gate.complete(ty, enqueued_at, dequeued_at);
-                        emit_spans(ctx, enqueued_at, dequeued_at);
-                        let _ = reply.send(outcome);
-                    }
-                    Job::Batch {
-                        subs,
-                        reply,
-                        ctx,
-                        cancel,
-                    } => {
-                        // A cancelled batch stops here: the dequeue above
-                        // already refunded its demand, and skipping
-                        // `complete` keeps it out of the processing-time
-                        // average — the same shape as the expiry path.
-                        if cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
-                            let _ = reply.send(vec![SubOutcome::Cancelled; subs.len()]);
-                            continue;
-                        }
-                        // Items run sequentially in submission order, as if
-                        // submitted back-to-back to an idle FIFO.
-                        let outcomes: Vec<SubOutcome> = subs
-                            .iter()
-                            .map(|sub| match execute(data, sub) {
-                                Some(resp) => SubOutcome::Ok(resp),
-                                None => SubOutcome::Error,
-                            })
-                            .collect();
-                        gate.complete(ty, enqueued_at, dequeued_at);
-                        emit_spans(ctx, enqueued_at, dequeued_at);
-                        let _ = reply.send(outcomes);
-                    }
+                let job = admitted.payload;
+                // A cancelled batch stops here: the dequeue above already
+                // refunded its demand, and skipping `complete` keeps it out
+                // of the processing-time average — the same shape as the
+                // expiry path.
+                if job.cancel.as_ref().is_some_and(|c| c.load(Ordering::Acquire)) {
+                    job.answer_all(SubOutcome::Cancelled);
+                    continue;
                 }
+                // Items run sequentially in submission order, as if
+                // submitted back-to-back to an idle FIFO.
+                let outcomes: Vec<SubOutcome> = job
+                    .subs
+                    .iter()
+                    .map(|sub| match execute(data, sub) {
+                        Some(resp) => SubOutcome::Ok(resp),
+                        None => SubOutcome::Error,
+                    })
+                    .collect();
+                gate.complete(ty, enqueued_at, dequeued_at);
+                emit_spans(job.ctx, enqueued_at, dequeued_at);
+                let _ = job.reply.send(outcomes);
             }
             TakeOutcome::Expired(admitted) => {
                 // Shards do not currently set sub-query deadlines; if one
                 // arrives expired, answer with an error rather than waste
                 // engine time on it.
-                match admitted.payload {
-                    Job::Single { reply, .. } => {
-                        let _ = reply.send(SubOutcome::Error);
-                    }
-                    Job::Batch { subs, reply, .. } => {
-                        let _ = reply.send(vec![SubOutcome::Error; subs.len()]);
-                    }
-                }
+                admitted.payload.answer_all(SubOutcome::Error);
             }
             TakeOutcome::TimedOut => {}
             TakeOutcome::Closed => return,
@@ -731,18 +670,23 @@ mod tests {
         (g, host)
     }
 
+    /// Submits `sub` as a batch of one and waits for its outcome.
+    fn submit_one(host: &ShardHost, sub: SubQuery) -> SubOutcome {
+        let mut outcomes = host.submit_batch(vec![sub], None).recv().unwrap();
+        assert_eq!(outcomes.len(), 1);
+        outcomes.pop().unwrap()
+    }
+
     #[test]
     fn serves_neighbors_and_degree() {
         let (g, host) = spawn_shard(0, 2);
         let v = 4; // owned by shard 0 of 2
-        let rx = host.submit(SubQuery::Neighbors(v));
-        match rx.recv().unwrap() {
+        match submit_one(&host, SubQuery::Neighbors(v)) {
             SubOutcome::Ok(SubResponse::Ids(ids)) => assert_eq!(ids, g.neighbors(v)),
             other => panic!("{other:?}"),
         }
-        let rx = host.submit(SubQuery::Degree(v));
         assert_eq!(
-            rx.recv().unwrap(),
+            submit_one(&host, SubQuery::Degree(v)),
             SubOutcome::Ok(SubResponse::Count(g.degree(v) as u64))
         );
         host.shutdown();
@@ -751,8 +695,8 @@ mod tests {
     #[test]
     fn unowned_vertex_is_an_error() {
         let (_g, host) = spawn_shard(0, 2);
-        let rx = host.submit(SubQuery::Neighbors(3)); // odd -> shard 1
-        assert_eq!(rx.recv().unwrap(), SubOutcome::Error);
+        // Odd vertices belong to shard 1.
+        assert_eq!(submit_one(&host, SubQuery::Neighbors(3)), SubOutcome::Error);
         host.shutdown();
     }
 
@@ -760,8 +704,7 @@ mod tests {
     fn batched_subqueries_preserve_order() {
         let (g, host) = spawn_shard(1, 2);
         let vs = vec![1, 3, 5, 7];
-        let rx = host.submit(SubQuery::NeighborsMany(vs.clone().into()));
-        match rx.recv().unwrap() {
+        match submit_one(&host, SubQuery::NeighborsMany(vs.clone().into())) {
             SubOutcome::Ok(SubResponse::IdLists(lists)) => {
                 assert_eq!(lists.len(), vs.len());
                 for (v, l) in vs.iter().zip(lists.iter()) {
@@ -886,8 +829,10 @@ mod tests {
         let v = 10;
         let ids: Vec<u32> = (0..500).collect();
         let expected = g.neighbors(v).iter().filter(|n| **n < 500).count() as u64;
-        let rx = host.submit(SubQuery::CountIntersect(v, ids.into()));
-        assert_eq!(rx.recv().unwrap(), SubOutcome::Ok(SubResponse::Count(expected)));
+        assert_eq!(
+            submit_one(&host, SubQuery::CountIntersect(v, ids.into())),
+            SubOutcome::Ok(SubResponse::Count(expected))
+        );
         host.shutdown();
     }
 
@@ -910,9 +855,11 @@ mod tests {
         // Saturate: many submissions; at least some must be rejected
         // immediately while the single engine is busy.
         let receivers: Vec<_> = (0..64)
-            .map(|_| host.submit(SubQuery::NeighborsMany(Arc::new((0..1000).collect()))))
+            .map(|_| {
+                host.submit_batch(vec![SubQuery::NeighborsMany(Arc::new((0..1000).collect()))], None)
+            })
             .collect();
-        let outcomes: Vec<_> = receivers.into_iter().map(|rx| rx.recv().unwrap()).collect();
+        let outcomes: Vec<_> = receivers.into_iter().flat_map(|rx| rx.recv().unwrap()).collect();
         assert!(outcomes.contains(&SubOutcome::Rejected));
         assert!(outcomes.iter().any(|o| matches!(o, SubOutcome::Ok(_))));
         host.shutdown();
@@ -936,8 +883,7 @@ mod tests {
     fn stats_record_completions() {
         let (_g, host) = spawn_shard(0, 1);
         for v in 0..50 {
-            let rx = host.submit(SubQuery::Degree(v));
-            let _ = rx.recv().unwrap();
+            let _ = submit_one(&host, SubQuery::Degree(v));
         }
         let snap = host.stats().snapshot(1_000_000_000, host.parallelism());
         assert_eq!(snap.per_type[0].completed, 50);

@@ -5,14 +5,15 @@
 //! code over real sockets with length-prefixed frames and correlation-id
 //! multiplexing, for deployments where hosts are separate processes.
 //!
-//! Both transports carry single sub-queries **and** per-shard batches
+//! Both transports carry one request shape, the per-shard batch
 //! ([`ShardClient::submit_batch`]): a round's sub-queries to one shard
 //! travel as one frame, land as one admission unit, and come back as one
 //! batched reply — one reply channel, one frame write, one frame read,
-//! however wide the fan-out. Frame encoding recycles buffers through a
-//! bounded [`BufferPool`] (client side, arbitrary submitter threads) or a
-//! per-thread scratch vec (server loops), and every frame is staged with
-//! [`begin_frame`]/[`end_frame`] so it goes out in a single `write_all`.
+//! however wide the fan-out (a single sub-query is a batch of one). Frame
+//! encoding recycles buffers through a bounded [`BufferPool`] (client side,
+//! arbitrary submitter threads) or a per-thread scratch vec (server loops),
+//! and every frame is staged with [`begin_frame`]/[`end_frame`] so it goes
+//! out in a single `write_all`.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -28,20 +29,17 @@ use crate::query::SubQuery;
 use crate::shard::{ShardHost, SubOutcome};
 use crate::wire::{
     begin_frame, decode_subreply_any, decode_subrequest, encode_cancel_into,
-    encode_subquery_batch_into, encode_subquery_into, encode_subreply_batch_into,
-    encode_subreply_into, end_frame, read_frame_into, BufferPool, Status, SubReplyBody, SubRequest,
+    encode_subquery_batch_into, encode_subreply_batch_into, end_frame, read_frame_into,
+    BufferPool, SubReplyBody, SubRequest,
 };
 
 /// A handle a broker uses to reach one shard.
 pub trait ShardClient: Send + Sync {
-    /// Offers a sub-query; the returned channel yields its outcome. The
-    /// optional trace context rides along — by value in process, as the
-    /// versioned trailing wire field over TCP.
-    fn submit(&self, sub: SubQuery, ctx: Option<TraceContext>) -> Receiver<SubOutcome>;
-
     /// Offers a round's sub-queries to this shard as **one** admission
     /// unit; the returned channel yields one outcome per sub-query, in
     /// submission order. An admission rejection rejects the whole batch.
+    /// The optional trace context rides along — by value in process, as
+    /// the versioned trailing wire field over TCP.
     fn submit_batch(
         &self,
         subs: Vec<SubQuery>,
@@ -118,10 +116,6 @@ impl InProcShardClient {
 }
 
 impl ShardClient for InProcShardClient {
-    fn submit(&self, sub: SubQuery, ctx: Option<TraceContext>) -> Receiver<SubOutcome> {
-        self.host.submit_traced(sub, ctx)
-    }
-
     fn submit_batch(
         &self,
         subs: Vec<SubQuery>,
@@ -184,11 +178,9 @@ impl TcpShardServer {
     }
 }
 
-/// A reply the responder thread still has to write, in submission order.
-enum PendingReply {
-    Single(u64, Receiver<SubOutcome>),
-    Batch(u64, usize, Receiver<Vec<SubOutcome>>),
-}
+/// A reply the responder thread still has to write, in submission order:
+/// correlation id, batch width, outcome channel.
+type PendingReply = (u64, usize, Receiver<Vec<SubOutcome>>);
 
 /// One connection: a reader that decodes requests and submits them, and a
 /// responder that writes outcomes back in submission order. Responses are
@@ -216,17 +208,11 @@ fn spawn_connection(host: Arc<ShardHost>, stream: TcpStream) {
         let mut scratch = Vec::new();
         while let Ok(n) = read_frame_into(&mut read_half, &mut scratch) {
             match decode_subrequest(&scratch[..n]) {
-                Ok((id, SubRequest::Single(sub), ctx)) => {
-                    let outcome_rx = host.submit_traced(sub, ctx);
-                    if tx.send(PendingReply::Single(id, outcome_rx)).is_err() {
-                        break;
-                    }
-                }
                 Ok((id, SubRequest::Batch(subs), ctx)) => {
                     let len = subs.len();
                     let (outcome_rx, cancel) = host.submit_batch_cancellable(subs, ctx);
                     reader_cancels.lock().insert(id, cancel);
-                    if tx.send(PendingReply::Batch(id, len, outcome_rx)).is_err() {
+                    if tx.send((id, len, outcome_rx)).is_err() {
                         break;
                     }
                 }
@@ -246,27 +232,14 @@ fn spawn_connection(host: Arc<ShardHost>, stream: TcpStream) {
     let mut write_half = stream;
     std::thread::spawn(move || {
         let mut frame = Vec::new();
-        for pending in rx.iter() {
+        for (id, len, outcome_rx) in rx.iter() {
             frame.clear();
             let start = begin_frame(&mut frame);
-            match pending {
-                PendingReply::Single(id, outcome_rx) => {
-                    let (status, resp) = match outcome_rx.recv() {
-                        Ok(SubOutcome::Ok(resp)) => (Status::Ok, Some(resp)),
-                        Ok(SubOutcome::Rejected) => (Status::Rejected, None),
-                        Ok(SubOutcome::Cancelled) => (Status::Cancelled, None),
-                        Ok(SubOutcome::Error) | Err(_) => (Status::Error, None),
-                    };
-                    encode_subreply_into(&mut frame, id, status, resp.as_ref());
-                }
-                PendingReply::Batch(id, len, outcome_rx) => {
-                    let outcomes = outcome_rx
-                        .recv()
-                        .unwrap_or_else(|_| vec![SubOutcome::Error; len]);
-                    encode_subreply_batch_into(&mut frame, id, &outcomes);
-                    cancels.lock().remove(&id);
-                }
-            }
+            let outcomes = outcome_rx
+                .recv()
+                .unwrap_or_else(|_| vec![SubOutcome::Error; len]);
+            encode_subreply_batch_into(&mut frame, id, &outcomes);
+            cancels.lock().remove(&id);
             end_frame(&mut frame, start);
             if write_half.write_all(&frame).is_err() {
                 break;
@@ -278,23 +251,13 @@ fn spawn_connection(host: Arc<ShardHost>, stream: TcpStream) {
     });
 }
 
-/// A reply channel waiting on a correlation id; batches remember their
-/// width so a dying connection can fail every item.
-enum PendingTx {
-    Single(Sender<SubOutcome>),
-    Batch(Sender<Vec<SubOutcome>>, usize),
-}
+/// A reply channel waiting on a correlation id, with the batch width so a
+/// dying connection can fail every item.
+struct PendingTx(Sender<Vec<SubOutcome>>, usize);
 
 impl PendingTx {
     fn fail(self) {
-        match self {
-            PendingTx::Single(tx) => {
-                let _ = tx.send(SubOutcome::Error);
-            }
-            PendingTx::Batch(tx, n) => {
-                let _ = tx.send(vec![SubOutcome::Error; n]);
-            }
-        }
+        let _ = self.0.send(vec![SubOutcome::Error; self.1]);
     }
 }
 
@@ -335,22 +298,8 @@ impl TcpShardClient {
                     let Some(tx) = reader_pending.lock().remove(&id) else {
                         continue;
                     };
-                    match (tx, body) {
-                        (PendingTx::Single(tx), SubReplyBody::Single(status, resp)) => {
-                            let outcome = match (status, resp) {
-                                (Status::Ok, Some(resp)) => SubOutcome::Ok(resp),
-                                (Status::Rejected, _) => SubOutcome::Rejected,
-                                _ => SubOutcome::Error,
-                            };
-                            let _ = tx.send(outcome);
-                        }
-                        (PendingTx::Batch(tx, _), SubReplyBody::Batch(outcomes)) => {
-                            let _ = tx.send(outcomes);
-                        }
-                        // Envelope shape does not match what we sent:
-                        // protocol violation, fail the waiter.
-                        (tx, _) => tx.fail(),
-                    }
+                    let SubReplyBody::Batch(outcomes) = body;
+                    let _ = tx.0.send(outcomes);
                 }
                 // Connection gone: fail everything still pending.
                 for (_, tx) in reader_pending.lock().drain() {
@@ -394,40 +343,12 @@ impl TcpShardClient {
 }
 
 impl ShardClient for TcpShardClient {
-    fn submit(&self, sub: SubQuery, ctx: Option<TraceContext>) -> Receiver<SubOutcome> {
-        let (tx, rx) = bounded(1);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = self.next_conn();
-        conn.pending.lock().insert(id, PendingTx::Single(tx));
-        let mut frame = self.pool.get();
-        let start = begin_frame(&mut frame);
-        encode_subquery_into(&mut frame, id, &sub, ctx.as_ref());
-        end_frame(&mut frame, start);
-        self.send_frame(id, conn, &frame);
-        rx
-    }
-
     fn submit_batch(
         &self,
         subs: Vec<SubQuery>,
         ctx: Option<TraceContext>,
     ) -> Receiver<Vec<SubOutcome>> {
-        let (tx, rx) = bounded(1);
-        if subs.is_empty() {
-            let _ = tx.send(Vec::new());
-            return rx;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let conn = self.next_conn();
-        conn.pending
-            .lock()
-            .insert(id, PendingTx::Batch(tx, subs.len()));
-        let mut frame = self.pool.get();
-        let start = begin_frame(&mut frame);
-        encode_subquery_batch_into(&mut frame, id, &subs, ctx.as_ref());
-        end_frame(&mut frame, start);
-        self.send_frame(id, conn, &frame);
-        rx
+        self.submit_batch_cancellable(subs, ctx).0
     }
 
     fn submit_batch_cancellable(
@@ -442,9 +363,7 @@ impl ShardClient for TcpShardClient {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let conn = Arc::clone(self.next_conn());
-        conn.pending
-            .lock()
-            .insert(id, PendingTx::Batch(tx, subs.len()));
+        conn.pending.lock().insert(id, PendingTx(tx, subs.len()));
         let mut frame = self.pool.get();
         let start = begin_frame(&mut frame);
         encode_subquery_batch_into(&mut frame, id, &subs, ctx.as_ref());
@@ -482,10 +401,10 @@ mod tests {
     fn inproc_client_round_trips() {
         let (g, host) = test_host();
         let client = InProcShardClient::new(Arc::clone(&host));
-        let rx = client.submit(SubQuery::Degree(5), None);
+        let rx = client.submit_batch(vec![SubQuery::Degree(5)], None);
         assert_eq!(
             rx.recv().unwrap(),
-            SubOutcome::Ok(SubResponse::Count(g.degree(5) as u64))
+            vec![SubOutcome::Ok(SubResponse::Count(g.degree(5) as u64))]
         );
         host.shutdown();
     }
@@ -498,12 +417,12 @@ mod tests {
 
         // Interleave several requests to exercise multiplexing.
         let receivers: Vec<_> = (0..50)
-            .map(|v| client.submit(SubQuery::Degree(v), None))
+            .map(|v| client.submit_batch(vec![SubQuery::Degree(v)], None))
             .collect();
         for (v, rx) in receivers.into_iter().enumerate() {
             assert_eq!(
                 rx.recv().unwrap(),
-                SubOutcome::Ok(SubResponse::Count(g.degree(v as u32) as u64)),
+                vec![SubOutcome::Ok(SubResponse::Count(g.degree(v as u32) as u64))],
                 "vertex {v}"
             );
         }
@@ -517,8 +436,8 @@ mod tests {
         let server = TcpShardServer::serve(Arc::clone(&host), "127.0.0.1:0").unwrap();
         let client = TcpShardClient::connect(server.addr(), 1).unwrap();
         let vs: Vec<u32> = (0..500).collect();
-        let rx = client.submit(SubQuery::NeighborsMany(vs.into()), None);
-        match rx.recv().unwrap() {
+        let rx = client.submit_batch(vec![SubQuery::NeighborsMany(vs.into())], None);
+        match rx.recv().unwrap().pop().unwrap() {
             SubOutcome::Ok(SubResponse::IdLists(lists)) => {
                 assert_eq!(lists.len(), 500);
                 assert_eq!(lists.get(42).unwrap(), g.neighbors(42));
@@ -574,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_round_trips_match_singles_on_both_transports() {
+    fn batches_match_batches_of_one_on_both_transports() {
         let (g, host) = test_host();
         let server = TcpShardServer::serve(Arc::clone(&host), "127.0.0.1:0").unwrap();
         let tcp = TcpShardClient::connect(server.addr(), 2).unwrap();
@@ -592,7 +511,7 @@ mod tests {
             // The batched outcomes must equal the item-by-item outcomes.
             let singles: Vec<SubOutcome> = subs
                 .iter()
-                .map(|s| client.submit(s.clone(), None).recv().unwrap())
+                .flat_map(|s| client.submit_batch(vec![s.clone()], None).recv().unwrap())
                 .collect();
             let batched = client.submit_batch(subs.clone(), None).recv().unwrap();
             assert_eq!(batched, singles);

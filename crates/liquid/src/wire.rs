@@ -13,20 +13,25 @@
 //! sub-queries; correlation ids let one connection multiplex many in-flight
 //! requests (responses may arrive out of order).
 //!
-//! # Batched sub-queries
+//! # Broker→shard protocol: batches only
 //!
-//! All sub-queries a broker round sends to one shard travel as a single
-//! batch envelope (request tag [`TAG_SUBQUERY_BATCH`]) answered by a single
-//! batch reply (reply tag [`TAG_SUBREPLY_BATCH`]):
+//! Every request a broker sends a shard is one round's sub-queries to that
+//! shard as a single batch envelope, answered by a single batch reply —
+//! a round with one sub-query sends a batch of one:
 //!
 //! ```text
 //! batch_req  := u64 id, u8 6, u32 count, count × (u8 tag, body), [trace_ctx]
-//! batch_rep  := u64 id, u8 status, u8 5, u32 count,
+//! batch_rep  := u64 id, u8 0, u8 5, u32 count,
 //!               count × (u8 status, body-if-ok)
+//! cancel     := u64 id, u8 7
 //! ```
 //!
-//! Per-item bodies reuse the single-message encodings, so a batch of one is
-//! byte-for-byte the single body plus the 5-byte batch header.
+//! Envelope tags: request [`TAG_SUBQUERY_BATCH`] (6) and [`TAG_CANCEL`] (7);
+//! reply [`TAG_SUBREPLY_BATCH`] (5). Any other envelope tag is a
+//! [`DecodeError`]. Item tags inside a batch are `0..=5` for requests
+//! (`Neighbors`, `Degree`, `HasEdge`, `NeighborsMany`, `DegreeMany`,
+//! `CountIntersect`) and `0..=4` for `Ok` reply bodies (`Ids`, `IdLists`,
+//! `Counts`, `Count`, `Flag`).
 //!
 //! # Allocation-lean encode/decode
 //!
@@ -41,7 +46,7 @@
 //!
 //! # Trace context
 //!
-//! Request envelopes (queries and sub-queries, batched or not) may carry a
+//! Request envelopes (client queries and sub-query batches) may carry a
 //! **versioned trailing trace-context field** so distributed traces survive
 //! the TCP boundary:
 //!
@@ -216,23 +221,6 @@ fn put_subquery_body(buf: &mut Vec<u8>, sub: &SubQuery) {
     }
 }
 
-fn get_subquery_body<B: Buf>(buf: &mut B) -> Result<SubQuery, DecodeError> {
-    if buf.remaining() < 1 {
-        return Err(DecodeError("truncated sub-query header"));
-    }
-    let tag = buf.get_u8();
-    decode_single_body(tag, buf)
-}
-
-/// Appends a single sub-query request envelope to `buf`, with an optional
-/// trailing trace context.
-pub fn encode_subquery_into(buf: &mut Vec<u8>, id: u64, sub: &SubQuery, ctx: Option<&TraceContext>) {
-    buf.reserve(34 + 4 * sub.batch_len());
-    buf.put_u64(id);
-    put_subquery_body(buf, sub);
-    put_trace_ctx(buf, ctx);
-}
-
 /// Appends a sub-query **batch** request envelope to `buf`: one
 /// correlation id, `subs.len()` bodies, one optional trailing trace
 /// context. The whole batch is one admission-control unit on the shard.
@@ -252,29 +240,20 @@ pub fn encode_subquery_batch_into(
     put_trace_ctx(buf, ctx);
 }
 
-/// Encodes a sub-query request envelope, with an optional trailing trace
-/// context. Allocating wrapper around [`encode_subquery_into`].
-pub fn encode_subquery(id: u64, sub: &SubQuery, ctx: Option<&TraceContext>) -> Bytes {
-    let mut buf = Vec::new();
-    encode_subquery_into(&mut buf, id, sub, ctx);
-    Bytes::from(buf)
-}
-
-/// A decoded shard-bound request: a single sub-query, a whole batch, or a
-/// cancellation of an earlier request.
+/// A decoded shard-bound request: a round's batch, or a cancellation of an
+/// earlier one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubRequest {
-    /// One sub-query (request tags 0..=5).
-    Single(SubQuery),
-    /// A round's coalesced sub-queries (request tag [`TAG_SUBQUERY_BATCH`]).
+    /// A round's sub-queries to one shard (request tag [`TAG_SUBQUERY_BATCH`]).
     Batch(Vec<SubQuery>),
     /// Cancel the in-flight request whose correlation id is this envelope's
     /// id (request tag [`TAG_CANCEL`]). No body, no reply of its own.
     Cancel,
 }
 
-/// Decodes a shard-bound request envelope, batched or single (trailing
-/// trace context included, when present).
+/// Decodes a shard-bound request envelope (trailing trace context
+/// included, when present). Tags other than [`TAG_SUBQUERY_BATCH`] and
+/// [`TAG_CANCEL`] are a [`DecodeError`].
 pub fn decode_subrequest<B: Buf>(
     mut buf: B,
 ) -> Result<(u64, SubRequest, Option<TraceContext>), DecodeError> {
@@ -283,31 +262,32 @@ pub fn decode_subrequest<B: Buf>(
     }
     let id = buf.get_u64();
     let tag = buf.get_u8();
-    if tag == TAG_CANCEL {
-        return Ok((id, SubRequest::Cancel, None));
+    match tag {
+        TAG_CANCEL => return Ok((id, SubRequest::Cancel, None)),
+        TAG_SUBQUERY_BATCH => {}
+        _ => return Err(DecodeError("bad sub-request tag")),
     }
-    if tag == TAG_SUBQUERY_BATCH {
-        if buf.remaining() < 4 {
-            return Err(DecodeError("truncated batch count"));
-        }
-        let n = buf.get_u32() as usize;
-        if n > MAX_FRAME / 2 {
-            return Err(DecodeError("batch count exceeds frame bound"));
-        }
-        let mut subs = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            subs.push(get_subquery_body(&mut buf)?);
-        }
-        let ctx = get_trace_ctx(&mut buf)?;
-        return Ok((id, SubRequest::Batch(subs), ctx));
+    if buf.remaining() < 4 {
+        return Err(DecodeError("truncated batch count"));
     }
-    let sub = decode_single_body(tag, &mut buf)?;
+    let n = buf.get_u32() as usize;
+    if n > MAX_FRAME / 2 {
+        return Err(DecodeError("batch count exceeds frame bound"));
+    }
+    let mut subs = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        subs.push(get_subquery_body(&mut buf)?);
+    }
     let ctx = get_trace_ctx(&mut buf)?;
-    Ok((id, SubRequest::Single(sub), ctx))
+    Ok((id, SubRequest::Batch(subs), ctx))
 }
 
-/// Decodes one sub-query body whose tag byte has already been consumed.
-fn decode_single_body<B: Buf>(tag: u8, buf: &mut B) -> Result<SubQuery, DecodeError> {
+/// Decodes one tagged sub-query body of a batch.
+fn get_subquery_body<B: Buf>(buf: &mut B) -> Result<SubQuery, DecodeError> {
+    if buf.remaining() < 1 {
+        return Err(DecodeError("truncated sub-query header"));
+    }
+    let tag = buf.get_u8();
     let need = |buf: &B, n: usize| {
         if buf.remaining() < n {
             Err(DecodeError("truncated sub-query body"))
@@ -337,19 +317,6 @@ fn decode_single_body<B: Buf>(tag: u8, buf: &mut B) -> Result<SubQuery, DecodeEr
         }
         _ => return Err(DecodeError("bad sub-query tag")),
     })
-}
-
-/// Decodes a **single** sub-query request envelope (trailing trace context
-/// included, when present). Batch envelopes are a [`DecodeError`] here —
-/// use [`decode_subrequest`] on paths that accept both.
-pub fn decode_subquery<B: Buf>(
-    buf: B,
-) -> Result<(u64, SubQuery, Option<TraceContext>), DecodeError> {
-    match decode_subrequest(buf)? {
-        (id, SubRequest::Single(sub), ctx) => Ok((id, sub, ctx)),
-        (_, SubRequest::Batch(_), _) => Err(DecodeError("unexpected sub-query batch")),
-        (_, SubRequest::Cancel, _) => Err(DecodeError("unexpected cancel request")),
-    }
 }
 
 /// Appends a cancel request envelope to `buf`: the envelope id *is* the
@@ -444,17 +411,7 @@ fn get_subresponse_body<B: Buf>(tag: u8, buf: &mut B) -> Result<SubResponse, Dec
     })
 }
 
-/// Appends a single sub-query reply envelope to `buf`.
-pub fn encode_subreply_into(buf: &mut Vec<u8>, id: u64, status: Status, resp: Option<&SubResponse>) {
-    buf.put_u64(id);
-    buf.put_u8(status.to_u8());
-    match resp {
-        Some(resp) => put_subresponse_body(buf, resp),
-        None => buf.put_u8(255),
-    }
-}
-
-/// Appends a **batched** sub-query reply envelope to `buf`: one per-item
+/// Appends a sub-query batch reply envelope to `buf`: one per-item
 /// `(status, body-if-ok)` entry per sub-query of the request batch, in
 /// request order. A whole-batch admission rejection is simply every item
 /// carrying [`Status::Rejected`].
@@ -476,75 +433,53 @@ pub fn encode_subreply_batch_into(buf: &mut Vec<u8>, id: u64, outcomes: &[SubOut
     }
 }
 
-/// Encodes a sub-query reply envelope. Allocating wrapper around
-/// [`encode_subreply_into`].
-pub fn encode_subreply(id: u64, status: Status, resp: Option<&SubResponse>) -> Bytes {
-    let mut buf = Vec::with_capacity(32);
-    encode_subreply_into(&mut buf, id, status, resp);
-    Bytes::from(buf)
-}
-
-/// A decoded broker-bound reply: a single outcome or a whole batch.
+/// A decoded broker-bound reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubReplyBody {
-    /// Reply to a single sub-query.
-    Single(Status, Option<SubResponse>),
     /// Reply to a sub-query batch, one outcome per item in request order.
     Batch(Vec<SubOutcome>),
 }
 
-/// Decodes a sub-query reply envelope, batched or single.
+/// Decodes a sub-query batch reply envelope. An envelope whose status byte
+/// is not `Ok` or whose tag is not [`TAG_SUBREPLY_BATCH`] is a
+/// [`DecodeError`].
 pub fn decode_subreply_any<B: Buf>(mut buf: B) -> Result<(u64, SubReplyBody), DecodeError> {
     if buf.remaining() < 10 {
         return Err(DecodeError("truncated sub-reply header"));
     }
     let id = buf.get_u64();
-    let status = Status::from_u8(buf.get_u8())?;
-    let tag = buf.get_u8();
-    if tag == TAG_SUBREPLY_BATCH {
-        if buf.remaining() < 4 {
-            return Err(DecodeError("truncated batch count"));
+    if Status::from_u8(buf.get_u8())? != Status::Ok {
+        return Err(DecodeError("bad sub-reply envelope status"));
+    }
+    if buf.get_u8() != TAG_SUBREPLY_BATCH {
+        return Err(DecodeError("bad sub-reply tag"));
+    }
+    if buf.remaining() < 4 {
+        return Err(DecodeError("truncated batch count"));
+    }
+    let n = buf.get_u32() as usize;
+    if n > MAX_FRAME / 2 {
+        return Err(DecodeError("batch count exceeds frame bound"));
+    }
+    let mut outcomes = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        if buf.remaining() < 1 {
+            return Err(DecodeError("truncated batch item"));
         }
-        let n = buf.get_u32() as usize;
-        if n > MAX_FRAME / 2 {
-            return Err(DecodeError("batch count exceeds frame bound"));
-        }
-        let mut outcomes = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            if buf.remaining() < 1 {
-                return Err(DecodeError("truncated batch item"));
-            }
-            match Status::from_u8(buf.get_u8())? {
-                Status::Ok => {
-                    if buf.remaining() < 1 {
-                        return Err(DecodeError("truncated batch item body"));
-                    }
-                    let tag = buf.get_u8();
-                    outcomes.push(SubOutcome::Ok(get_subresponse_body(tag, &mut buf)?));
+        match Status::from_u8(buf.get_u8())? {
+            Status::Ok => {
+                if buf.remaining() < 1 {
+                    return Err(DecodeError("truncated batch item body"));
                 }
-                Status::Rejected => outcomes.push(SubOutcome::Rejected),
-                Status::Error => outcomes.push(SubOutcome::Error),
-                Status::Cancelled => outcomes.push(SubOutcome::Cancelled),
+                let tag = buf.get_u8();
+                outcomes.push(SubOutcome::Ok(get_subresponse_body(tag, &mut buf)?));
             }
+            Status::Rejected => outcomes.push(SubOutcome::Rejected),
+            Status::Error => outcomes.push(SubOutcome::Error),
+            Status::Cancelled => outcomes.push(SubOutcome::Cancelled),
         }
-        return Ok((id, SubReplyBody::Batch(outcomes)));
     }
-    let resp = if tag == 255 {
-        None
-    } else {
-        Some(get_subresponse_body(tag, &mut buf)?)
-    };
-    Ok((id, SubReplyBody::Single(status, resp)))
-}
-
-/// Decodes a **single** sub-query reply envelope. Batch replies are a
-/// [`DecodeError`] here — use [`decode_subreply_any`] on paths that accept
-/// both.
-pub fn decode_subreply<B: Buf>(buf: B) -> Result<(u64, Status, Option<SubResponse>), DecodeError> {
-    match decode_subreply_any(buf)? {
-        (id, SubReplyBody::Single(status, resp)) => Ok((id, status, resp)),
-        (_, SubReplyBody::Batch(_)) => Err(DecodeError("unexpected sub-reply batch")),
-    }
+    Ok((id, SubReplyBody::Batch(outcomes)))
 }
 
 // ---------------------------------------------------------------------------
@@ -800,28 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn subquery_round_trips() {
-        let cases = sample_subqueries();
-        let ctx = TraceContext {
-            trace: TraceId(77),
-            parent: SpanId(88),
-            sampled: true,
-        };
-        for (i, sub) in cases.iter().enumerate() {
-            let bytes = encode_subquery(i as u64, sub, None);
-            let (id, got, got_ctx) = decode_subquery(bytes).unwrap();
-            assert_eq!(id, i as u64);
-            assert_eq!(&got, sub);
-            assert_eq!(got_ctx, None);
-
-            let bytes = encode_subquery(i as u64, sub, Some(&ctx));
-            let (_, got, got_ctx) = decode_subquery(bytes).unwrap();
-            assert_eq!(&got, sub);
-            assert_eq!(got_ctx, Some(ctx));
-        }
-    }
-
-    #[test]
     fn subquery_batch_round_trips() {
         let subs = sample_subqueries();
         let ctx = TraceContext {
@@ -842,33 +755,6 @@ mod tests {
         encode_subquery_batch_into(&mut buf, 1, &[], None);
         let (_, req, _) = decode_subrequest(&buf[..]).unwrap();
         assert_eq!(req, SubRequest::Batch(Vec::new()));
-        // The single-only decoder refuses batches.
-        assert!(decode_subquery(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn subreply_round_trips() {
-        let cases = [
-            (Status::Ok, Some(SubResponse::Ids(vec![1, 2]))),
-            (
-                Status::Ok,
-                Some(SubResponse::IdLists(
-                    [vec![1u32], vec![]].into_iter().collect(),
-                )),
-            ),
-            (Status::Ok, Some(SubResponse::Counts(vec![3, 4, 5]))),
-            (Status::Ok, Some(SubResponse::Count(42))),
-            (Status::Ok, Some(SubResponse::Flag(true))),
-            (Status::Rejected, None),
-            (Status::Error, None),
-        ];
-        for (i, (status, resp)) in cases.iter().enumerate() {
-            let bytes = encode_subreply(i as u64, *status, resp.as_ref());
-            let (id, s, r) = decode_subreply(bytes).unwrap();
-            assert_eq!(id, i as u64);
-            assert_eq!(s, *status);
-            assert_eq!(&r, resp);
-        }
     }
 
     #[test]
@@ -879,13 +765,13 @@ mod tests {
         assert_eq!(id, 0xDEAD_BEEF);
         assert_eq!(req, SubRequest::Cancel);
         assert_eq!(ctx, None);
-        // The single-only decoder refuses cancels.
-        assert!(decode_subquery(&buf[..]).is_err());
     }
 
     #[test]
     fn subreply_batch_round_trips() {
         let outcomes = vec![
+            SubOutcome::Ok(SubResponse::Ids(vec![1, 2])),
+            SubOutcome::Ok(SubResponse::Counts(vec![3, 4, 5])),
             SubOutcome::Ok(SubResponse::Count(7)),
             SubOutcome::Rejected,
             SubOutcome::Error,
@@ -900,8 +786,6 @@ mod tests {
         let (id, body) = decode_subreply_any(&buf[..]).unwrap();
         assert_eq!(id, 9);
         assert_eq!(body, SubReplyBody::Batch(outcomes));
-        // The single-only decoder refuses batch replies.
-        assert!(decode_subreply(&buf[..]).is_err());
         // Truncating inside the batch body errors, never panics.
         for cut in 0..buf.len() {
             assert!(decode_subreply_any(&buf[..cut]).is_err(), "cut={cut}");
@@ -962,15 +846,46 @@ mod tests {
 
     #[test]
     fn truncated_payloads_error_cleanly() {
-        assert!(decode_subquery(Bytes::from_static(&[0, 1, 2])).is_err());
-        assert!(decode_subreply(Bytes::from_static(&[0; 9])).is_err());
+        assert!(decode_subrequest(Bytes::from_static(&[0, 1, 2])).is_err());
+        assert!(decode_subreply_any(Bytes::from_static(&[0; 9])).is_err());
         assert!(decode_query(Bytes::from_static(&[0; 5])).is_err());
         // Bad tags.
         let mut b = BytesMut::new();
         b.put_u64(1);
         b.put_u8(99);
         b.put_u32(0);
-        assert!(decode_subquery(b.freeze()).is_err());
+        assert!(decode_subrequest(b.freeze()).is_err());
+    }
+
+    #[test]
+    fn former_single_envelope_tags_are_decode_errors() {
+        // Requests: tag byte 0..=5 right after the id, each followed by a
+        // body that would have decoded as that single sub-query.
+        for (tag, sub) in sample_subqueries().iter().enumerate() {
+            let mut batch = Vec::new();
+            encode_subquery_batch_into(&mut batch, 3, std::slice::from_ref(sub), None);
+            // Drop the 5-byte batch header: id, then the item's own tag.
+            let mut single = batch[..8].to_vec();
+            single.extend_from_slice(&batch[13..]);
+            assert_eq!(single[8], tag as u8);
+            assert_eq!(
+                decode_subrequest(&single[..]),
+                Err(DecodeError("bad sub-request tag")),
+                "request tag {tag}"
+            );
+        }
+        // Replies: status byte, then a former single-reply tag where the
+        // batch tag (5) belongs — a body tag 0..=4 or the empty-body 255.
+        for status in [Status::Ok, Status::Rejected, Status::Error] {
+            for tag in (0..TAG_SUBREPLY_BATCH).chain([255]) {
+                let mut b = BytesMut::new();
+                b.put_u64(4);
+                b.put_u8(status.to_u8());
+                b.put_u8(tag);
+                b.put_u64(1);
+                assert!(decode_subreply_any(b.freeze()).is_err(), "reply {status:?}/{tag}");
+            }
+        }
     }
 
     #[test]

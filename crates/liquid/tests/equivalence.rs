@@ -1,19 +1,19 @@
-//! Batched ≡ unbatched equivalence: the coalesced fan-out path must be
-//! observably identical to the one-message-per-sub-query path it replaced.
+//! Transport and topology equivalence: every data path must be
+//! observably identical for the same query stream.
 //!
-//! The same randomized query mix runs through a `batch_fanout: true` and a
-//! `batch_fanout: false` cluster — on both transports — and every per-query
-//! outcome must match exactly: results for serviced queries, and the
-//! admission decision itself (`Ok` / `Rejected` / `ShardRejected` / ...).
-//! Queries are submitted sequentially (closed loop) so admission decisions
-//! are deterministic: an unloaded AcceptFraction shard tier admits
-//! everything, and any deviation between the two paths would surface as a
+//! The same randomized query mix runs through clusters that differ only in
+//! transport (rings, channels, tcp) or replica topology, and every
+//! per-query outcome must match exactly: results for serviced queries, and
+//! the admission decision itself (`Ok` / `Rejected` / `ShardRejected` /
+//! ...). Queries are submitted sequentially (closed loop) so admission
+//! decisions are deterministic: the shard tier is pinned to admit
+//! everything, and any deviation between two paths would surface as a
 //! mismatched outcome rather than racy noise.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bouncer_core::policy::{AdmissionPolicy, AlwaysAccept, Decision, RejectReason};
+use bouncer_core::policy::{AdmissionPolicy, Decision, RejectReason};
 use bouncer_core::types::TypeId;
 use bouncer_metrics::Nanos;
 use liquid::broker::{BrokerConfig, ClientOutcome};
@@ -24,7 +24,7 @@ use liquid::shard::ShardConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn config(transport: TransportKind, batch_fanout: bool) -> ClusterConfig {
+fn config(transport: TransportKind) -> ClusterConfig {
     ClusterConfig {
         n_shards: 3,
         n_brokers: 1,
@@ -39,7 +39,6 @@ fn config(transport: TransportKind, batch_fanout: bool) -> ClusterConfig {
         },
         broker: BrokerConfig {
             engines: 2,
-            batch_fanout,
             ..BrokerConfig::default()
         },
         transport,
@@ -56,55 +55,6 @@ fn config(transport: TransportKind, batch_fanout: bool) -> ClusterConfig {
 
 fn run_mix(cluster: &Cluster, queries: &[Query]) -> Vec<ClientOutcome> {
     queries.iter().map(|&q| cluster.execute(q)).collect()
-}
-
-fn random_mix(vertices: u32, per_kind: usize) -> Vec<Query> {
-    let mut rng = SmallRng::seed_from_u64(0xE0_51CA);
-    let mut queries = Vec::new();
-    for _ in 0..per_kind {
-        for kind in QueryKind::ALL {
-            queries.push(Query::random(kind, vertices, &mut rng));
-        }
-    }
-    queries
-}
-
-fn assert_equivalent(transport: TransportKind) {
-    let batched = Cluster::spawn(&config(transport, true), |_reg, _p| {
-        Arc::new(AlwaysAccept::new())
-    });
-    let unbatched = Cluster::spawn(&config(transport, false), |_reg, _p| {
-        Arc::new(AlwaysAccept::new())
-    });
-    assert_eq!(batched.vertices(), unbatched.vertices());
-
-    let queries = random_mix(batched.vertices(), 8);
-    let got_batched = run_mix(&batched, &queries);
-    let got_unbatched = run_mix(&unbatched, &queries);
-    for (i, (b, u)) in got_batched.iter().zip(&got_unbatched).enumerate() {
-        assert_eq!(b, u, "query #{i} {:?} diverged ({transport:?})", queries[i]);
-    }
-    // Sanity: the mix actually exercised the data path — an unloaded
-    // cluster with AlwaysAccept brokers services every query.
-    assert!(
-        got_batched
-            .iter()
-            .all(|o| matches!(o, ClientOutcome::Ok(_))),
-        "expected every query serviced"
-    );
-
-    batched.shutdown();
-    unbatched.shutdown();
-}
-
-#[test]
-fn batched_equals_unbatched_in_proc() {
-    assert_equivalent(TransportKind::InProc);
-}
-
-#[test]
-fn batched_equals_unbatched_over_tcp() {
-    assert_equivalent(TransportKind::Tcp);
 }
 
 /// Deterministically rejects every `n`-th query, so admission parity is
@@ -141,11 +91,11 @@ fn random_mix_seeded(seed: u64, vertices: u32, per_kind: usize) -> Vec<Query> {
     queries
 }
 
-/// The tentpole equivalence matrix: the thread-per-core rings data path
-/// must be observably identical to the channel path it bypasses — same
-/// results byte for byte (`ClientOutcome` derives `Eq` over the full
-/// response payload) and the same admission decision per query — across
-/// several fixed query-mix seeds.
+/// The transport equivalence matrix: the thread-per-core rings data path
+/// and the TCP transport must be observably identical to the channel path
+/// — same results byte for byte (`ClientOutcome` derives `Eq` over the
+/// full response payload) and the same admission decision per query —
+/// across several fixed query-mix seeds.
 #[test]
 fn rings_equals_channels_across_seeds() {
     for seed in [0xA11CEu64, 0x0B0B, 0xC0FFEE] {
@@ -155,35 +105,38 @@ fn rings_equals_channels_across_seeds() {
                 calls: AtomicU64::new(0),
             })
         };
-        let rings = Cluster::spawn(&config(TransportKind::Rings, true), policy);
-        let channels = Cluster::spawn(&config(TransportKind::InProc, true), policy);
-        assert_eq!(rings.vertices(), channels.vertices());
-
-        let queries = random_mix_seeded(seed, rings.vertices(), 4);
-        let got_rings = run_mix(&rings, &queries);
-        let got_channels = run_mix(&channels, &queries);
-        for (i, (r, c)) in got_rings.iter().zip(&got_channels).enumerate() {
-            assert_eq!(
-                r, c,
-                "query #{i} {:?} diverged between rings and channels (seed {seed:#x})",
-                queries[i]
-            );
-        }
+        let channels = Cluster::spawn(&config(TransportKind::InProc), policy);
+        let vertices = channels.vertices();
+        let queries = random_mix_seeded(seed, vertices, 4);
+        let want = run_mix(&channels, &queries);
+        channels.shutdown();
         // Sanity: both branches of the matrix actually ran — the policy
         // rejected some queries and the shards serviced the rest.
-        let rejected = got_rings
+        let rejected = want
             .iter()
             .filter(|o| matches!(o, ClientOutcome::Rejected(_)))
             .count();
-        let serviced = got_rings
+        let serviced = want
             .iter()
             .filter(|o| matches!(o, ClientOutcome::Ok(_)))
             .count();
         assert!(rejected > 0 && serviced > 0, "{rejected}/{serviced}");
         assert_eq!(rejected + serviced, queries.len());
 
-        rings.shutdown();
-        channels.shutdown();
+        for transport in [TransportKind::Rings, TransportKind::Tcp] {
+            let cluster = Cluster::spawn(&config(transport), policy);
+            assert_eq!(cluster.vertices(), vertices);
+            let got = run_mix(&cluster, &queries);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g, w,
+                    "query #{i} {:?} diverged between {transport:?} and channels \
+                     (seed {seed:#x})",
+                    queries[i]
+                );
+            }
+            cluster.shutdown();
+        }
     }
 }
 
@@ -204,7 +157,7 @@ fn assert_replication_transparent(transport: TransportKind, seeds: &[u64]) {
         })
     };
     for &seed in seeds {
-        let flat = Cluster::spawn(&config(transport, true), policy);
+        let flat = Cluster::spawn(&config(transport), policy);
         let queries = random_mix_seeded(seed, flat.vertices(), 2);
         let want = run_mix(&flat, &queries);
         flat.shutdown();
@@ -222,7 +175,7 @@ fn assert_replication_transparent(transport: TransportKind, seeds: &[u64]) {
             let cfg = ClusterConfig {
                 replicas,
                 strategy,
-                ..config(transport, true)
+                ..config(transport)
             };
             let cluster = Cluster::spawn(&cfg, policy);
             let got = run_mix(&cluster, &queries);

@@ -99,11 +99,11 @@ fn closed_shard_rejects_submissions_immediately() {
     let shards = spawn_shards(&g, 1);
     let host = Arc::clone(&shards[0]);
     Arc::clone(&host).shutdown();
-    let rx = host.submit(SubQuery::Degree(0));
+    let rx = host.submit_batch(vec![SubQuery::Degree(0)], None);
     // The gate is closed: the push fails and a rejection is delivered.
     assert_eq!(
         rx.recv_timeout(Duration::from_secs(1)).unwrap(),
-        SubOutcome::Rejected
+        vec![SubOutcome::Rejected]
     );
 }
 
@@ -117,10 +117,10 @@ fn tcp_disconnect_fails_pending_requests() {
     let client = TcpShardClient::connect(server.addr(), 1).unwrap();
 
     // Healthy round trip first.
-    let rx = client.submit(SubQuery::Degree(2), None);
+    let rx = client.submit_batch(vec![SubQuery::Degree(2)], None);
     assert!(matches!(
-        rx.recv_timeout(Duration::from_secs(2)).unwrap(),
-        SubOutcome::Ok(_)
+        rx.recv_timeout(Duration::from_secs(2)).unwrap()[..],
+        [SubOutcome::Ok(_)]
     ));
 
     // Take the backend down: stop accepting AND close the shard host so the
@@ -130,9 +130,9 @@ fn tcp_disconnect_fails_pending_requests() {
 
     // New submissions either error on write or get failed by the reader
     // thread's drain path; either way the channel resolves quickly.
-    let rx = client.submit(SubQuery::Degree(4), None);
-    match rx.recv_timeout(Duration::from_secs(5)) {
-        Ok(SubOutcome::Error) | Ok(SubOutcome::Rejected) => {}
+    let rx = client.submit_batch(vec![SubQuery::Degree(4)], None);
+    match rx.recv_timeout(Duration::from_secs(5)).as_deref() {
+        Ok([SubOutcome::Error]) | Ok([SubOutcome::Rejected]) => {}
         Ok(other) => panic!("unexpected outcome after disconnect: {other:?}"),
         Err(_) => panic!("request hung after server shutdown"),
     }
@@ -148,10 +148,6 @@ struct StragglerClient {
 }
 
 impl ShardClient for StragglerClient {
-    fn submit(&self, sub: SubQuery, ctx: Option<TraceContext>) -> Receiver<SubOutcome> {
-        self.inner.submit(sub, ctx)
-    }
-
     fn submit_batch(
         &self,
         subs: Vec<SubQuery>,

@@ -7,10 +7,9 @@ use liquid::graph::{Graph, GraphConfig};
 use liquid::query::{IdLists, Query, QueryKind, SubQuery, SubResponse};
 use liquid::shard::SubOutcome;
 use liquid::wire::{
-    decode_query, decode_query_reply, decode_subquery, decode_subreply, decode_subreply_any,
-    decode_subrequest, encode_query, encode_query_reply, encode_subquery,
-    encode_subquery_batch_into, encode_subreply, encode_subreply_batch_into, read_frame,
-    write_frame, Status, SubReplyBody, SubRequest,
+    decode_query, decode_query_reply, decode_subreply_any, decode_subrequest, encode_query,
+    encode_query_reply, encode_subquery_batch_into, encode_subreply_batch_into, read_frame,
+    write_frame, Status, SubReplyBody, SubRequest, TAG_SUBQUERY_BATCH, TAG_SUBREPLY_BATCH,
 };
 use proptest::prelude::*;
 
@@ -58,47 +57,13 @@ fn arb_suboutcome() -> impl Strategy<Value = SubOutcome> {
         arb_subresponse().prop_map(SubOutcome::Ok),
         Just(SubOutcome::Rejected),
         Just(SubOutcome::Error),
+        Just(SubOutcome::Cancelled),
     ]
 }
 
 proptest! {
-    /// Every sub-query round-trips through the wire codec, with and
-    /// without a trailing trace context.
-    #[test]
-    fn subquery_codec_round_trips(
-        id in any::<u64>(),
-        sub in arb_subquery(),
-        ctx in arb_ctx(),
-    ) {
-        let (got_id, got, got_ctx) =
-            decode_subquery(encode_subquery(id, &sub, ctx.as_ref())).unwrap();
-        prop_assert_eq!(got_id, id);
-        prop_assert_eq!(got, sub);
-        prop_assert_eq!(got_ctx, ctx);
-    }
-
-    /// Every sub-reply round-trips, with and without a body.
-    #[test]
-    fn subreply_codec_round_trips(
-        id in any::<u64>(),
-        status_pick in 0u8..3,
-        resp in prop::option::of(arb_subresponse()),
-    ) {
-        let status = match status_pick {
-            0 => Status::Ok,
-            1 => Status::Rejected,
-            _ => Status::Error,
-        };
-        let (got_id, got_status, got_resp) =
-            decode_subreply(encode_subreply(id, status, resp.as_ref())).unwrap();
-        prop_assert_eq!(got_id, id);
-        prop_assert_eq!(got_status, status);
-        prop_assert_eq!(got_resp, resp);
-    }
-
-    /// Sub-query **batch** envelopes round-trip: any mix of sub-query
-    /// bodies, with and without a trailing trace context, and singles keep
-    /// decoding through the batch-aware entry point.
+    /// Sub-query batch envelopes round-trip: any mix of every sub-query
+    /// body, with and without a trailing trace context.
     #[test]
     fn subquery_batch_codec_round_trips(
         id in any::<u64>(),
@@ -113,7 +78,8 @@ proptest! {
         prop_assert_eq!(got_ctx, ctx);
     }
 
-    /// Batched sub-reply envelopes round-trip with per-item statuses.
+    /// Batch reply envelopes round-trip: every per-item status and every
+    /// `Ok` body.
     #[test]
     fn subreply_batch_codec_round_trips(
         id in any::<u64>(),
@@ -177,35 +143,27 @@ proptest! {
         prop_assert_eq!((rid, s, rv), (id, Status::Ok, value));
     }
 
-    /// Arbitrary bytes never panic the decoders — they error or parse.
+    /// Arbitrary bytes never panic the decoders — they error or parse —
+    /// whether they start anywhere or right after a valid batch envelope
+    /// header, where the item bodies are parsed.
     #[test]
-    fn decoders_tolerate_garbage(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
-        let b = Bytes::from(bytes);
-        let _ = decode_subquery(b.clone());
-        let _ = decode_subreply(b.clone());
+    fn decoders_tolerate_garbage(
+        id in any::<u64>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let b = Bytes::from(bytes.clone());
         let _ = decode_subrequest(b.clone());
         let _ = decode_subreply_any(b.clone());
         let _ = decode_query(b.clone());
         let _ = decode_query_reply(b);
-    }
-
-    /// Every strict prefix of a valid encoded frame either decodes (when
-    /// the cut only dropped an optional tail) or errors — never panics.
-    #[test]
-    fn truncated_frames_never_panic(
-        id in any::<u64>(),
-        sub in arb_subquery(),
-        resp in prop::option::of(arb_subresponse()),
-        ctx in arb_ctx(),
-    ) {
-        let q = encode_subquery(id, &sub, ctx.as_ref());
-        for cut in 0..q.as_slice().len() {
-            let _ = decode_subquery(Bytes::from(q.as_slice()[..cut].to_vec()));
-        }
-        let r = encode_subreply(id, Status::Ok, resp.as_ref());
-        for cut in 0..r.as_slice().len() {
-            let _ = decode_subreply(Bytes::from(r.as_slice()[..cut].to_vec()));
-        }
+        let mut req = id.to_be_bytes().to_vec();
+        req.push(TAG_SUBQUERY_BATCH);
+        req.extend_from_slice(&bytes);
+        let _ = decode_subrequest(&req[..]);
+        let mut rep = id.to_be_bytes().to_vec();
+        rep.extend_from_slice(&[0, TAG_SUBREPLY_BATCH]);
+        rep.extend_from_slice(&bytes);
+        let _ = decode_subreply_any(&rep[..]);
     }
 
     /// A framed stream cut mid-frame errors out of `read_frame` cleanly.

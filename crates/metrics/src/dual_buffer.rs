@@ -238,15 +238,22 @@ mod tests {
     #[test]
     fn concurrent_record_and_swap_is_safe() {
         use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
+        const WRITERS: usize = 4;
         let d = Arc::new(DualHistogram::new());
         let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..4)
+        // Every writer records once before the swap loop starts, so the
+        // final count does not depend on the scheduler.
+        let started = Arc::new(Barrier::new(WRITERS + 1));
+        let writers: Vec<_> = (0..WRITERS)
             .map(|_| {
                 let d = Arc::clone(&d);
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
-                    let mut n = 0u64;
+                    d.record(0);
+                    started.wait();
+                    let mut n = 1u64;
                     while !stop.load(Ordering::Relaxed) {
                         d.record(n % 10_000);
                         n += 1;
@@ -255,6 +262,7 @@ mod tests {
                 })
             })
             .collect();
+        started.wait();
         for _ in 0..1_000 {
             d.swap();
             let _ = d.value_at_quantile(0.9);
@@ -262,6 +270,6 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         let written: u64 = writers.into_iter().map(|t| t.join().unwrap()).sum();
-        assert!(written > 0);
+        assert!(written >= WRITERS as u64);
     }
 }

@@ -11,27 +11,20 @@
 //! a JSONL file (the first argument; a temp path by default). Feed the
 //! file to the CLI's `trace-report` subcommand for the critical-path
 //! latency breakdown; `scripts/check.sh` does exactly that, with
-//! `--strict` gating on complete span trees.
-//!
-//! Pass `--unbatched` (anywhere in the arguments) to run the retained
-//! one-message-per-sub-query fallback instead of the default batched
-//! fan-out — the trees grow one `subquery` span per individual sub-query
-//! instead of one per (round, shard) batch.
+//! `--strict` gating on complete span trees. Each round's trees carry one
+//! `subquery` span per (round, shard) batch.
 
 use std::sync::Arc;
 
 use bouncer_repro::core::obs::{JsonlSink, Tracer, TracerConfig};
 use bouncer_repro::core::policy::AlwaysAccept;
-use bouncer_repro::liquid::broker::BrokerConfig;
 use bouncer_repro::liquid::cluster::{Cluster, ClusterConfig, TransportKind};
 use bouncer_repro::liquid::graph::GraphConfig;
 use bouncer_repro::liquid::query::{Query, QueryKind};
 
 fn main() {
-    let batch_fanout = !std::env::args().any(|a| a == "--unbatched");
     let path = std::env::args()
-        .skip(1)
-        .find(|a| a != "--unbatched")
+        .nth(1)
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::env::temp_dir().join("bouncer-traced-cluster.jsonl"));
     let sink = Arc::new(JsonlSink::create(&path).expect("cannot create trace log"));
@@ -45,10 +38,6 @@ fn main() {
             vertices: 2_000,
             edges_per_vertex: 4,
             seed: 21,
-        },
-        broker: BrokerConfig {
-            batch_fanout,
-            ..BrokerConfig::default()
         },
         tracer: Some(tracer.clone()),
         ..ClusterConfig::default()
@@ -84,8 +73,7 @@ fn main() {
     tracer.flush();
 
     println!(
-        "ran {N} queries ({ok} ok, {} fan-out); {} traces sampled, {} dropped",
-        if batch_fanout { "batched" } else { "unbatched" },
+        "ran {N} queries ({ok} ok); {} traces sampled, {} dropped",
         tracer.sampled_total(),
         tracer.dropped_total()
     );
