@@ -18,22 +18,22 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bouncer_core::framework::{Gate, GateConfig, ServerStats, TakeOutcome, Ticker};
+use bouncer_core::framework::{Gate, ServerStats, TakeOutcome, Ticker};
 use bouncer_core::obs::{
-    new_span_id, null_sink, Event, EventSink, HedgeCounters, QueryTrace, SpanId, SpanKind,
+    new_span_id, Event, EventSink, HedgeCounters, QueryTrace, SpanId, SpanKind,
     SpanStatus, TraceContext, Tracer,
 };
 use bouncer_core::policy::{AdmissionPolicy, RejectReason};
 use bouncer_core::types::{TypeId, TypeRegistry};
 use bouncer_metrics::spsc::{RingProbe, Waker};
 use bouncer_metrics::{Clock, Nanos};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::graph::VertexId;
 use crate::query::{Query, QueryKind, RepBatch, RepStatus, SubQuery, SubResponse};
-use crate::rings::{BrokerEngineRig, BrokerRig, LaneReq, LaneSet, ShardPortRings};
-use crate::shard::{ShardHost, SubOutcome};
+use crate::rings::{BrokerEngineRig, BrokerRig, LaneReq, LaneSet, ShardPortRings, ShardRep};
+use crate::shard::{engine_state, host_gate, ShardHost, SubOutcome};
 use crate::transport::{CancelHandle, ShardClient};
 
 /// Builds the type registry for the LIquid workload: `default` plus
@@ -433,22 +433,17 @@ impl Broker {
             "every logical shard must have the same replica count"
         );
         let n_shards = shard_groups.len();
-        let registry = liquid_registry();
-        let sink = cfg.sink.clone().unwrap_or_else(null_sink);
-        let gate: Arc<Gate<Job>> = Arc::new(Gate::new_with_sink(
+        let gate: Arc<Gate<Job>> = host_gate(
             policy.clone(),
-            registry.len(),
+            liquid_registry().len(),
             clock.clone(),
-            GateConfig {
-                max_queue_len: cfg.max_queue_len,
-                ..GateConfig::default()
-            },
-            sink.clone(),
-        ));
+            cfg.max_queue_len,
+            cfg.sink.clone(),
+        );
         // Flatten replica-major: physical index `s * R + r`.
         let shards: Vec<Arc<dyn ShardClient>> = shard_groups.into_iter().flatten().collect();
         let shards = Arc::new(shards);
-        let router = Arc::new(Router::new(n_shards, replicas, strategy, sink));
+        let router = Arc::new(Router::new(n_shards, replicas, strategy, Arc::clone(gate.sink())));
         // A tracer whose sink is disabled behaves as no tracer at all.
         let tracer = cfg.tracer.filter(|t| t.enabled());
         let engines = (0..cfg.engines)
@@ -460,7 +455,12 @@ impl Broker {
                 let tracer = tracer.clone();
                 std::thread::Builder::new()
                     .name(format!("broker-engine{i}"))
-                    .spawn(move || engine_loop(&gate, &shards, &router, timeout, tracer.as_deref()))
+                    .spawn(move || {
+                        let port = ChannelPort(&shards);
+                        let exec =
+                            Exec::new(port, &router, timeout, gate.clock(), tracer.as_deref());
+                        engine_loop(&gate, exec)
+                    })
                     .expect("failed to spawn broker engine")
             })
             .collect();
@@ -518,20 +518,15 @@ impl Broker {
             "ring topology engine count must match BrokerConfig.engines"
         );
         let n_shards = hosts.len() / replicas;
-        let registry = liquid_registry();
-        let sink = cfg.sink.clone().unwrap_or_else(null_sink);
-        let gate: Arc<Gate<Job>> = Arc::new(Gate::new_with_sink(
+        let gate: Arc<Gate<Job>> = host_gate(
             policy.clone(),
-            registry.len(),
+            liquid_registry().len(),
             clock.clone(),
-            GateConfig {
-                max_queue_len: cfg.max_queue_len,
-                ..GateConfig::default()
-            },
-            sink.clone(),
-        ));
+            cfg.max_queue_len,
+            cfg.sink.clone(),
+        );
         let hosts = Arc::new(hosts);
-        let router = Arc::new(Router::new(n_shards, replicas, strategy, sink));
+        let router = Arc::new(Router::new(n_shards, replicas, strategy, Arc::clone(gate.sink())));
         let tracer = cfg.tracer.filter(|t| t.enabled());
         let stop = Arc::new(AtomicBool::new(false));
         let wakers: Vec<Arc<Waker>> = rig.engines.iter().map(|e| Arc::clone(&e.waker)).collect();
@@ -540,7 +535,7 @@ impl Broker {
             .engines
             .into_iter()
             .enumerate()
-            .map(|(i, engine_rig)| {
+            .map(|(i, mut engine_rig)| {
                 let gate = Arc::clone(&gate);
                 let hosts = Arc::clone(&hosts);
                 let router = Arc::clone(&router);
@@ -551,17 +546,10 @@ impl Broker {
                 std::thread::Builder::new()
                     .name(format!("broker-ring{i}"))
                     .spawn(move || {
-                        rings_engine_loop(
-                            &gate,
-                            i as u32,
-                            engine_rig,
-                            &hosts,
-                            &router,
-                            timeout,
-                            deadline,
-                            &stop,
-                            tracer.as_deref(),
-                        )
+                        let port = RingPort::new(std::mem::take(&mut engine_rig.ports), &hosts);
+                        let exec =
+                            Exec::new(port, &router, timeout, gate.clock(), tracer.as_deref());
+                        rings_engine_loop(&gate, i as u32, engine_rig, exec, deadline, &stop)
                     })
                     .expect("failed to spawn broker ring engine")
             })
@@ -802,49 +790,24 @@ impl Broker {
     }
 }
 
-fn engine_loop(
-    gate: &Gate<Job>,
-    shards: &[Arc<dyn ShardClient>],
-    router: &Arc<Router>,
-    timeout: Duration,
-    tracer: Option<&Tracer>,
-) {
-    // One executor per engine thread: its scratch buffers (sub-query
-    // batches, reply accumulators, plan frontiers) live for the thread's
-    // lifetime and are reused across queries.
-    let n_shards = shards.len() / router.replicas;
-    let mut exec = Exec::new(Port::Channels(shards), n_shards, router, timeout, gate.clock());
+/// The channel-mode engine loop. `exec` is the engine's one executor: its
+/// scratch buffers (sub-query batches, reply accumulators, plan frontiers)
+/// live for the thread's lifetime and are reused across queries.
+fn engine_loop(gate: &Gate<Job>, mut exec: Exec<'_, ChannelPort<'_>>) {
     loop {
         match gate.take(Some(Duration::from_millis(100))) {
             TakeOutcome::Query(admitted) => {
+                let Job { query, respond, trace } = admitted.payload;
                 let (ty, enqueued_at, dequeued_at) =
                     (admitted.ty, admitted.enqueued_at, admitted.dequeued_at);
-                let Job { query, respond, trace } = admitted.payload;
-                if let Some(mut qt) = trace {
-                    // The admission span covers the gate offer; the queue
-                    // span covers enqueue→engine pickup. Both timestamps
-                    // come from the gate's own bookkeeping.
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
-                    exec.trace = Some(PlanTrace::new(qt, dequeued_at));
-                }
-                let result = execute_plan(&mut exec, query);
-                gate.complete(ty, enqueued_at, dequeued_at);
-                if let Some(pt) = exec.trace.take() {
-                    if let Some(tracer) = tracer {
-                        pt.finish(tracer, plan_status(&result), gate.clock().now());
-                    }
-                }
-                respond.send(plan_outcome(result));
+                respond.send(serve(&mut exec, gate, trace, query, ty, enqueued_at, dequeued_at));
             }
             TakeOutcome::Expired(admitted) => {
                 // Dropped undone: reply with a timeout error immediately.
-                let enqueued_at = admitted.enqueued_at;
                 let Job { respond, trace, .. } = admitted.payload;
-                if let (Some(tracer), Some(mut qt)) = (tracer, trace) {
+                if let (Some(tracer), Some(mut qt)) = (exec.tracer, trace) {
                     let now = gate.clock().now();
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, now);
+                    queue_spans(&mut qt, admitted.enqueued_at, now);
                     tracer.finish(qt, SpanStatus::Expired, now);
                 }
                 respond.send(ClientOutcome::Expired);
@@ -853,6 +816,37 @@ fn engine_loop(
             TakeOutcome::Closed => return,
         }
     }
+}
+
+/// The admission span covers the gate offer; the queue span covers
+/// enqueue→engine pickup. Both timestamps come from the gate's own
+/// bookkeeping, so channel and rings traces are rebuilt alike.
+fn queue_spans(qt: &mut QueryTrace, enqueued_at: Nanos, dequeued_at: Nanos) {
+    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
+    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
+}
+
+/// Runs one admitted query on either engine loop: the plan under its
+/// trace (when sampled), the gate's completion, the trace's finish.
+fn serve<P: Port>(
+    exec: &mut Exec<'_, P>,
+    gate: &Gate<Job>,
+    trace: Option<QueryTrace>,
+    query: Query,
+    ty: TypeId,
+    enqueued_at: Nanos,
+    dequeued_at: Nanos,
+) -> ClientOutcome {
+    if let Some(mut qt) = trace {
+        queue_spans(&mut qt, enqueued_at, dequeued_at);
+        exec.trace = Some(PlanTrace::new(qt, dequeued_at));
+    }
+    let result = execute_plan(exec, query);
+    gate.complete(ty, enqueued_at, dequeued_at);
+    if let (Some(pt), Some(tracer)) = (exec.trace.take(), exec.tracer) {
+        pt.finish(tracer, plan_status(&result), gate.clock().now());
+    }
+    plan_outcome(result)
 }
 
 fn plan_status(result: &Result<u64, PlanError>) -> SpanStatus {
@@ -877,37 +871,23 @@ fn plan_outcome(result: Result<u64, PlanError>) -> ClientOutcome {
 /// the lane's reply ring. Between requests the engine parks on its waker
 /// (woken by lane pushes and shard replies), so an idle cluster burns no
 /// CPU while a loaded one runs lock-free.
-#[allow(clippy::too_many_arguments)]
+///
+/// `rig`'s shard ports already live in `exec`.
 fn rings_engine_loop(
     gate: &Gate<Job>,
     engine: u32,
     rig: BrokerEngineRig,
-    hosts: &[Arc<ShardHost>],
-    router: &Arc<Router>,
-    timeout: Duration,
+    mut exec: Exec<'_, RingPort<'_>>,
     query_deadline: Option<Duration>,
     stop: &AtomicBool,
-    tracer: Option<&Tracer>,
 ) {
     let BrokerEngineRig {
         mut lane_reqs,
         mut lane_reps,
-        ports,
         waker,
+        ..
     } = rig;
     waker.register_current();
-    assert_eq!(ports.len(), hosts.len(), "one ring port per physical shard host");
-    let mut ports: Vec<RingPort> = ports
-        .into_iter()
-        .zip(hosts.iter())
-        .map(|(rings, host)| RingPort {
-            rings,
-            host: Arc::clone(host),
-            poisoned: false,
-        })
-        .collect();
-    let n_shards = ports.len() / router.replicas;
-    let mut exec = Exec::new(Port::Rings(&mut ports), n_shards, router, timeout, gate.clock());
     // Flight-recorder breadcrumb state: emit `engine_state` only on
     // park/resume *transitions* (a 1ms park timeout re-park is not one),
     // so an idle cluster leaves two records, not a 1kHz stream.
@@ -928,31 +908,17 @@ fn rings_engine_loop(
             let deadline = query_deadline.map(|d| enqueued_at + d.as_nanos() as u64);
             let (dequeued_at, expired) = gate.dequeued_external(ty, enqueued_at, deadline);
             let outcome = if expired {
-                if let Some(tracer) = tracer {
+                if let Some(tracer) = exec.tracer {
                     let mut qt = tracer.begin(Some(ty), enqueued_at, ctx);
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
+                    queue_spans(&mut qt, enqueued_at, dequeued_at);
                     tracer.finish(qt, SpanStatus::Expired, dequeued_at);
                 }
                 ClientOutcome::Expired
             } else {
-                if let Some(tracer) = tracer {
-                    // The trace roots engine-side (a QueryTrace cannot
-                    // cross the ring); admission + queue spans are rebuilt
-                    // from the gate's timestamps, like channel mode.
-                    let mut qt = tracer.begin(Some(ty), enqueued_at, ctx);
-                    qt.record_child(SpanKind::Admission, qt.start(), enqueued_at);
-                    qt.record_child(SpanKind::BrokerQueue, enqueued_at, dequeued_at);
-                    exec.trace = Some(PlanTrace::new(qt, dequeued_at));
-                }
-                let result = execute_plan(&mut exec, query);
-                gate.complete(ty, enqueued_at, dequeued_at);
-                if let Some(pt) = exec.trace.take() {
-                    if let Some(tracer) = tracer {
-                        pt.finish(tracer, plan_status(&result), gate.clock().now());
-                    }
-                }
-                plan_outcome(result)
+                // The trace roots engine-side: a QueryTrace cannot cross
+                // the ring.
+                let trace = exec.tracer.map(|t| t.begin(Some(ty), enqueued_at, ctx));
+                serve(&mut exec, gate, trace, query, ty, enqueued_at, dequeued_at)
             };
             // The lane protocol allows one outstanding request per lane, so
             // the reply slot is always free.
@@ -976,20 +942,6 @@ fn rings_engine_loop(
             engine_state(gate, engine, true);
         }
         waker.park(Duration::from_millis(1));
-    }
-}
-
-/// Emits the `engine_state` park/resume breadcrumb through the gate's
-/// sink (a no-op unless an observing sink — recorder, JSONL — is
-/// attached).
-fn engine_state(gate: &Gate<Job>, engine: u32, parked: bool) {
-    let sink = gate.sink();
-    if sink.enabled() {
-        sink.emit(&Event::EngineState {
-            at: gate.clock().now(),
-            engine,
-            parked,
-        });
     }
 }
 
@@ -1129,32 +1081,229 @@ impl PlanTrace {
     }
 }
 
-/// An in-flight per-shard batch: one channel for the whole group. The
-/// batch's [`SpanKind::SubQuery`] span covers every item it carries.
-struct PendingBatch {
+/// What [`Port::send`] made of one per-shard group.
+enum Sent<T> {
+    /// On its way; [`Port::poll`] the ticket for the reply.
+    InFlight(T),
+    /// Refused before it left (rings admission or a full request ring):
+    /// every item counts as rejected by the shard.
+    Rejected,
+    /// The port is unusable: a rings port whose earlier reply never came.
+    Failed,
+}
+
+/// An engine's end of the broker→shard transport, as the one round
+/// machine ([`Exec::run_round`]) drives it. `phys` is a physical replica
+/// index (`s * R + r`). Neither transport can block on two replies at
+/// once, so a hedge race polls.
+trait Port {
+    /// One in-flight group.
+    type Ticket;
+
+    /// Sends `group` to replica `phys`, taking its sub-queries and leaving
+    /// an empty buffer behind. Only a `cancellable` send gets a ticket that
+    /// [`Port::cancel`] can stop before the shard executes it.
+    fn send(
+        &mut self,
+        phys: usize,
+        group: &mut Vec<SubQuery>,
+        ctx: Option<TraceContext>,
+        cancellable: bool,
+    ) -> Sent<Self::Ticket>;
+
+    /// Waits up to `wait` (zero: just looks) for `ticket`'s reply.
+    /// `Ok(true)`: the reply is staged in `resp` (one status per item of
+    /// kinds `tags`) and the request's buffer is back in `hand_back`.
+    /// `Ok(false)`: no reply yet. `Err`: none can ever be used.
+    fn poll(
+        &mut self,
+        ticket: &Self::Ticket,
+        wait: Duration,
+        resp: &mut RepBatch,
+        tags: &[SubTag],
+        hand_back: &mut Vec<SubQuery>,
+    ) -> Result<bool, PlanError>;
+
+    /// Gives `ticket` up: a shard that has not started the group skips it.
+    /// A reply arriving within `drain` is discarded; a port that
+    /// correlates replies by order and sees none in time is unusable from
+    /// then on.
+    fn cancel(&mut self, ticket: Self::Ticket, drain: Duration);
+}
+
+/// Channel mode: one [`ShardClient`] per physical replica (in process or
+/// TCP).
+struct ChannelPort<'a>(&'a [Arc<dyn ShardClient>]);
+
+struct ChannelTicket {
     rx: Receiver<Vec<SubOutcome>>,
-    n: usize,
-    sub_span: Option<SpanId>,
+    cancel: Option<CancelHandle>,
 }
 
-/// The transport a plan executor fans out over.
-enum Port<'a> {
-    /// Channel mode: one `ShardClient` per shard (in-process or TCP).
-    Channels(&'a [Arc<dyn ShardClient>]),
-    /// Rings mode: this engine's private SPSC ring pair per shard.
-    Rings(&'a mut [RingPort]),
+impl Port for ChannelPort<'_> {
+    type Ticket = ChannelTicket;
+
+    fn send(
+        &mut self,
+        phys: usize,
+        group: &mut Vec<SubQuery>,
+        ctx: Option<TraceContext>,
+        cancellable: bool,
+    ) -> Sent<ChannelTicket> {
+        let subs = std::mem::take(group);
+        let client = &self.0[phys];
+        // Only hedged rounds cancel, so only they pay for a cancel flag.
+        let (rx, cancel) = if cancellable {
+            let (rx, cancel) = client.submit_batch_cancellable(subs, ctx);
+            (rx, Some(cancel))
+        } else {
+            (client.submit_batch(subs, ctx), None)
+        };
+        Sent::InFlight(ChannelTicket { rx, cancel })
+    }
+
+    fn poll(
+        &mut self,
+        ticket: &ChannelTicket,
+        wait: Duration,
+        resp: &mut RepBatch,
+        tags: &[SubTag],
+        _hand_back: &mut Vec<SubQuery>,
+    ) -> Result<bool, PlanError> {
+        let outcomes = match ticket.rx.recv_timeout(wait) {
+            Ok(outcomes) => outcomes,
+            Err(RecvTimeoutError::Timeout) => return Ok(false),
+            Err(RecvTimeoutError::Disconnected) => return Err(PlanError::ShardFailed),
+        };
+        // A reply of the wrong width is a protocol violation.
+        if outcomes.len() != tags.len() {
+            return Err(PlanError::ShardFailed);
+        }
+        for (outcome, &tag) in outcomes.into_iter().zip(tags) {
+            if let Err(e) = stage_outcome(resp, tag, outcome) {
+                // The race's other reply may still stage here.
+                resp.clear();
+                return Err(e);
+            }
+        }
+        Ok(true)
+    }
+
+    fn cancel(&mut self, ticket: ChannelTicket, _drain: Duration) {
+        // Replies correlate by channel: dropping the receiver discards
+        // any late one.
+        if let Some(cancel) = ticket.cancel {
+            cancel.cancel();
+        }
+    }
 }
 
-/// One engine's private ring pair to one shard, plus the shard host handle
-/// used for admission accounting on that shard's gate.
-struct RingPort {
-    rings: ShardPortRings,
-    host: Arc<ShardHost>,
-    /// Set when the shard failed to reply within the timeout: the ring
-    /// protocol allows one outstanding request per port, so a port whose
-    /// reply never came can never be trusted again (a late reply would
-    /// correlate with the wrong request).
-    poisoned: bool,
+/// Rings mode: this engine's private SPSC ring pair to every physical
+/// replica, plus the hosts whose gates admit each batch producer-side.
+struct RingPort<'a> {
+    rings: Vec<ShardPortRings>,
+    hosts: &'a [Arc<ShardHost>],
+    /// Per pair: a reply never came. The ring protocol allows one
+    /// outstanding request per pair and correlates replies by order, so a
+    /// pair whose reply is missing can never be trusted again.
+    poisoned: Vec<bool>,
+    /// Where a cancelled loser's reply is drained, leaving the winner's
+    /// response alone without allocating.
+    discard: ShardRep,
+}
+
+struct RingTicket {
+    phys: usize,
+    /// Planted in the request slot; flipped to cancel.
+    cancel: Option<Arc<AtomicBool>>,
+}
+
+impl<'a> RingPort<'a> {
+    fn new(rings: Vec<ShardPortRings>, hosts: &'a [Arc<ShardHost>]) -> Self {
+        assert_eq!(rings.len(), hosts.len(), "one ring port per physical shard host");
+        // Moved into an allocation of the engine's own thread. The rig's
+        // Vec was allocated next to the other engines' by the thread that
+        // built the topology, and the ring ends' cached indices, written
+        // on every push and pop, would share cache lines across engines.
+        let mut own = Vec::with_capacity(rings.len());
+        own.extend(rings);
+        Self {
+            poisoned: vec![false; own.len()],
+            rings: own,
+            hosts,
+            discard: ShardRep::default(),
+        }
+    }
+}
+
+impl Port for RingPort<'_> {
+    type Ticket = RingTicket;
+
+    /// Admits at the replica's gate, then *swaps* the group into the ring
+    /// slot: no copy, no allocation.
+    fn send(
+        &mut self,
+        phys: usize,
+        group: &mut Vec<SubQuery>,
+        ctx: Option<TraceContext>,
+        cancellable: bool,
+    ) -> Sent<RingTicket> {
+        if self.poisoned[phys] {
+            return Sent::Failed;
+        }
+        let host = &self.hosts[phys];
+        let Ok(now) = host.ring_admit() else {
+            return Sent::Rejected;
+        };
+        let cancel = cancellable.then(|| Arc::new(AtomicBool::new(false)));
+        let planted = cancel.clone();
+        let req = &mut self.rings[phys].req;
+        let depth = req.len() + 1;
+        let pushed = req.try_push(|slot| {
+            std::mem::swap(&mut slot.subs, group);
+            slot.enqueued_at = now;
+            slot.ctx = ctx;
+            slot.cancel = planted;
+            host.ring_enqueued(now, depth);
+        });
+        if !pushed {
+            // A full request ring is the shard refusing work at its
+            // (bounded) queue: a full-queue rejection, exactly like the
+            // channel-mode gate.
+            host.ring_reject_full(now);
+            return Sent::Rejected;
+        }
+        Sent::InFlight(RingTicket { phys, cancel })
+    }
+
+    fn poll(
+        &mut self,
+        ticket: &RingTicket,
+        wait: Duration,
+        resp: &mut RepBatch,
+        _tags: &[SubTag],
+        hand_back: &mut Vec<SubQuery>,
+    ) -> Result<bool, PlanError> {
+        let got = self.rings[ticket.phys].rep.pop_wait(wait, |out| {
+            std::mem::swap(&mut out.batch, resp);
+            std::mem::swap(&mut out.subs, hand_back);
+        });
+        Ok(got.is_some())
+    }
+
+    fn cancel(&mut self, ticket: RingTicket, drain: Duration) {
+        if let Some(flag) = &ticket.cancel {
+            flag.store(true, Ordering::Release);
+        }
+        let discard = &mut self.discard;
+        let rep = &mut self.rings[ticket.phys].rep;
+        let drained = rep.pop_wait(drain, |out| std::mem::swap(out, discard));
+        self.discard.batch.clear();
+        self.discard.subs.clear();
+        if drained.is_none() {
+            self.poisoned[ticket.phys] = true;
+        }
+    }
 }
 
 /// Per-shard read cursors into the round's [`RepBatch`] response.
@@ -1209,22 +1358,12 @@ struct Scratch {
     shard_order: Vec<usize>,
     /// Owning shard per staged item, in staging order.
     slots: Vec<usize>,
-    /// Groups actually sent this round (rings mode), as
-    /// `(shard, replica, sub-query span, sent-at)`.
-    sent: Vec<(usize, usize, Option<SpanId>, Nanos)>,
     /// Per-engine hedge-delay estimator (hedged strategy only).
     hedge: HedgeDelay,
-    /// Retained copies of each sent group's sub-queries, parallel to
-    /// `sent` (rings hedged mode: the originals are swapped into the
-    /// primary's ring slot, so a later duplicate needs its own buffer).
+    /// Copies of each in-flight group's sub-queries for its duplicate,
+    /// parallel to the round's flights (hedged strategy only: the
+    /// originals move into the transport at send time).
     hedge_copies: Vec<Vec<SubQuery>>,
-    /// Cancel flags planted in the primary sends, parallel to `sent`
-    /// (rings hedged mode; flipped when the hedge wins the race).
-    hedge_flags: Vec<Option<Arc<AtomicBool>>>,
-    /// Discard buffers for draining a hedge loser's reply without
-    /// clobbering the winner's response (rings mode).
-    discard_batch: RepBatch,
-    discard_subs: Vec<SubQuery>,
     /// Per-shard responses for the round just run.
     resp: Vec<RepBatch>,
     /// Per-shard read cursors into `resp`.
@@ -1280,19 +1419,27 @@ impl Scratch {
     }
 }
 
+/// One in-flight group of a round: `(shard, replica, ticket, sub-query
+/// span, sent at)`.
+type Flight<T> = (usize, usize, T, Option<SpanId>, Nanos);
+
 /// The per-engine plan executor: owns the scratch buffers and the shard
 /// port, runs communication rounds, and exposes cursor-based readers over
 /// the per-shard [`RepBatch`] responses. Replaces the channel-only
 /// `PlanCtx` (whose per-round `Vec<(usize, SubQuery)>` / reassembled
 /// `Vec<SubResponse>` allocations dominated the broker-side profile).
-struct Exec<'a> {
-    port: Port<'a>,
+struct Exec<'a, P: Port> {
+    port: P,
     n_shards: usize,
     router: &'a Router,
+    /// Per-group reply deadline (see [`Exec::run_round`]).
     timeout: Duration,
     clock: &'a Arc<dyn Clock>,
+    tracer: Option<&'a Tracer>,
     /// The running query's trace, if the broker traces.
     trace: Option<PlanTrace>,
+    /// The round's in-flight groups, in send order.
+    flights: Vec<Flight<P::Ticket>>,
     scratch: Scratch,
 }
 
@@ -1353,566 +1500,24 @@ fn stage_outcome(rep: &mut RepBatch, tag: SubTag, outcome: SubOutcome) -> Result
     Ok(())
 }
 
-/// Marks every item staged for shard `s` rejected (the group never reached
-/// the shard) and reclaims the staging buffer.
-fn reject_group(sc: &mut Scratch, s: usize) {
-    for _ in 0..sc.per_shard[s].len() {
-        sc.resp[s].status.push(RepStatus::Rejected);
-    }
-    sc.per_shard[s].clear();
-}
-
-/// Runs one staged round over channel-mode shard clients: fan out every
-/// per-shard group as one batch before waiting any, then demultiplex the
-/// outcomes into the per-shard [`RepBatch`]es. Every send is routed to a
-/// replica by the broker's [`RouteStrategy`]; at R=1 the routing collapses
-/// to the identity (`phys(s, 0) == s`).
-fn run_round_channels(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    clients: &[Arc<dyn ShardClient>],
-    router: &Router,
-    timeout: Duration,
-) -> Result<(), PlanError> {
-    if router.hedging() {
-        return run_round_channels_hedged(sc, trace, clock, clients, router, timeout);
-    }
-    // Fan out every group before waiting on any...
-    let mut groups: Vec<(usize, usize, PendingBatch)> = Vec::with_capacity(sc.shard_order.len());
-    for oi in 0..sc.shard_order.len() {
-        let s = sc.shard_order[oi];
-        let subs = std::mem::take(&mut sc.per_shard[s]);
-        let n = subs.len();
-        let r = router.pick(s);
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        router.begin(s, r);
-        router.note_routed(clock, s, r);
-        groups.push((
-            s,
-            r,
-            PendingBatch {
-                rx: clients[router.phys(s, r)].submit_batch(subs, ctx),
-                n,
-                sub_span,
-            },
-        ));
-    }
-    // ...then gather every group even after an error, so the round's spans
-    // close and no receiver is abandoned mid-flight.
-    let mut first_err = None;
-    for (s, r, pending) in groups {
-        let result = pending.rx.recv_timeout(timeout);
-        router.end(s, r);
-        trace_recv(trace, clock, pending.sub_span);
-        match result {
-            // A reply of the wrong width is a protocol violation.
-            Ok(outcomes) if outcomes.len() == pending.n => {
-                for (idx, outcome) in outcomes.into_iter().enumerate() {
-                    let tag = sc.tags[s][idx];
-                    if let Err(e) = stage_outcome(&mut sc.resp[s], tag, outcome) {
-                        first_err = first_err.or(Some(e));
-                    }
-                }
-            }
-            Ok(_) | Err(_) => first_err = first_err.or(Some(PlanError::ShardFailed)),
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// An in-flight hedgeable batch: the primary's reply channel and cancel
-/// handle, plus a retained copy of the sub-queries in case the hedge fires.
-struct HedgedPending {
-    s: usize,
-    /// Primary replica the first send went to.
-    r: usize,
-    rx: Receiver<Vec<SubOutcome>>,
-    cancel: CancelHandle,
-    n: usize,
-    sub_span: Option<SpanId>,
-    subs: Vec<SubQuery>,
-    sent_at: Nanos,
-}
-
-/// The hedged batch path: fan out every group to its primary replica
-/// (cancellably), then per group wait up to the engine's quantile hedge
-/// delay; a straggler gets a duplicate on the next replica and the two
-/// race — first reply wins, the loser is cancelled (its queued demand is
-/// refunded at dequeue shard-side) and recorded as a
-/// [`SpanKind::HedgeSubQuery`] loser span.
-fn run_round_channels_hedged(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    clients: &[Arc<dyn ShardClient>],
-    router: &Router,
-    timeout: Duration,
-) -> Result<(), PlanError> {
-    let mut groups: Vec<HedgedPending> = Vec::with_capacity(sc.shard_order.len());
-    for oi in 0..sc.shard_order.len() {
-        let s = sc.shard_order[oi];
-        let subs = std::mem::take(&mut sc.per_shard[s]);
-        let n = subs.len();
-        // The copy is cheap: sub-queries share payloads via `Arc`.
-        let copy = subs.clone();
-        let r = router.pick(s);
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        let sent_at = clock.now();
-        router.begin(s, r);
-        router.note_routed(clock, s, r);
-        let (rx, cancel) = clients[router.phys(s, r)].submit_batch_cancellable(subs, ctx);
-        groups.push(HedgedPending {
-            s,
-            r,
-            rx,
-            cancel,
-            n,
-            sub_span,
-            subs: copy,
-            sent_at,
-        });
-    }
-    let delay = sc.hedge.current();
-    let first_wait = delay.min(timeout);
-    let mut first_err = None;
-    for pending in groups {
-        let HedgedPending {
-            s,
-            r,
-            rx,
-            cancel,
-            n,
-            sub_span,
-            subs,
-            sent_at,
-        } = pending;
-        let resolution: Result<Vec<SubOutcome>, PlanError> = match rx.recv_timeout(first_wait) {
-            Ok(outcomes) => {
-                // Primary answered inside the hedge delay: no duplicate.
-                router.end(s, r);
-                sc.hedge.record(clock.now().saturating_sub(sent_at));
-                Ok(outcomes)
-            }
-            Err(RecvTimeoutError::Timeout) if first_wait < timeout => race_hedge(
-                sc, trace, clock, clients, router, timeout, s, r, &rx, cancel, subs, sent_at,
-                delay,
-            ),
-            Err(_) => {
-                router.end(s, r);
-                Err(PlanError::ShardFailed)
-            }
-        };
-        trace_recv(trace, clock, sub_span);
-        match resolution {
-            Ok(outcomes) if outcomes.len() == n => {
-                for (idx, outcome) in outcomes.into_iter().enumerate() {
-                    let tag = sc.tags[s][idx];
-                    if let Err(e) = stage_outcome(&mut sc.resp[s], tag, outcome) {
-                        first_err = first_err.or(Some(e));
-                    }
-                }
-            }
-            Ok(_) => first_err = first_err.or(Some(PlanError::ShardFailed)),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-/// Fires the duplicate for a straggling primary and races the two replies.
-/// Returns the winner's outcomes; the loser is cancelled. The race is
-/// bounded by the full sub-query `timeout` from the hedge fire, so a
-/// hedged group never waits less than an unhedged one would have.
-#[allow(clippy::too_many_arguments)]
-fn race_hedge(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    clients: &[Arc<dyn ShardClient>],
-    router: &Router,
-    timeout: Duration,
-    s: usize,
-    r: usize,
-    primary_rx: &Receiver<Vec<SubOutcome>>,
-    primary_cancel: CancelHandle,
-    subs: Vec<SubQuery>,
-    sent_at: Nanos,
-    delay: Duration,
-) -> Result<Vec<SubOutcome>, PlanError> {
-    let hr = (r + 1) % router.replicas;
-    let fired_at = clock.now();
-    router.begin(s, hr);
-    // The duplicate is untraced (ctx `None`): the loser appears only as the
-    // broker-side `hedge_subquery` span, never as shard-side spans that
-    // would pollute the winner's attribution.
-    let (hedge_rx, hedge_cancel) =
-        clients[router.phys(s, hr)].submit_batch_cancellable(subs, None);
-    router.note_hedge_fired(fired_at, s, r, hr, delay.as_nanos() as Nanos);
-    let mut primary_cancel = Some(primary_cancel);
-    let mut hedge_cancel = Some(hedge_cancel);
-    let mut primary_dead = false;
-    let mut hedge_dead = false;
-    let deadline = fired_at + timeout.as_nanos() as Nanos;
-    loop {
-        if primary_dead && hedge_dead {
-            router.end(s, r);
-            router.end(s, hr);
-            return Err(PlanError::ShardFailed);
-        }
-        let now = clock.now();
-        if now >= deadline {
-            // Nobody answered within the full timeout: cancel both (best
-            // effort) and fail the group like an unhedged timeout would.
-            if let Some(c) = primary_cancel.take() {
-                c.cancel();
-            }
-            if let Some(c) = hedge_cancel.take() {
-                c.cancel();
-            }
-            router.end(s, r);
-            router.end(s, hr);
-            return Err(PlanError::ShardFailed);
-        }
-        // The channel shim has no `select`; poll both replicas instead. The
-        // 20us nap between polls adds latency well under the minimum hedge
-        // delay (200us), and a race lives at most one sub-query timeout.
-        if !primary_dead {
-            match primary_rx.try_recv() {
-                Ok(outcomes) => {
-                    let now = clock.now();
-                    if let Some(c) = hedge_cancel.take() {
-                        c.cancel();
-                    }
-                    router.end(s, r);
-                    router.end(s, hr);
-                    router.note_hedge_cancelled(now, s, hr);
-                    if let Some(pt) = trace.as_mut() {
-                        pt.on_hedge_cancel(s as u16, fired_at, now);
-                    }
-                    sc.hedge.record(now.saturating_sub(sent_at));
-                    return Ok(outcomes);
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => primary_dead = true,
-            }
-        }
-        if !hedge_dead {
-            match hedge_rx.try_recv() {
-                Ok(outcomes) => {
-                    let now = clock.now();
-                    if let Some(c) = primary_cancel.take() {
-                        c.cancel();
-                    }
-                    router.end(s, r);
-                    router.end(s, hr);
-                    router.note_hedge_cancelled(now, s, r);
-                    if let Some(pt) = trace.as_mut() {
-                        pt.on_hedge_cancel(s as u16, sent_at, now);
-                    }
-                    sc.hedge.record(now.saturating_sub(fired_at));
-                    return Ok(outcomes);
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => hedge_dead = true,
-            }
-        }
-        std::thread::sleep(Duration::from_micros(20));
-    }
-}
-
-/// Runs one staged round over this engine's shard rings: per group, admit
-/// at the shard's gate, then *swap* the staged sub-query vector into the
-/// ring slot (no copy, no allocation); per reply, swap the response batch
-/// out and take the hand-back of the staging buffer. Every sent group is
-/// waited for even after an error — the ring protocol's one-outstanding
-/// invariant depends on it.
-fn run_round_rings(
-    sc: &mut Scratch,
-    trace: &mut Option<PlanTrace>,
-    clock: &Arc<dyn Clock>,
-    ports: &mut [RingPort],
-    router: &Router,
-    timeout: Duration,
-) -> Result<(), PlanError> {
-    debug_assert!(sc.sent.is_empty());
-    let hedging = router.hedging();
-    let mut first_err = None;
-    for oi in 0..sc.shard_order.len() {
-        let s = sc.shard_order[oi];
-        let r = router.pick(s);
-        let port = &mut ports[router.phys(s, r)];
-        if port.poisoned {
-            sc.per_shard[s].clear();
-            first_err = first_err.or(Some(PlanError::ShardFailed));
-            continue;
-        }
-        let (ctx, sub_span) = trace_send(trace, clock, s);
-        match port.host.ring_admit() {
-            Ok(now) => {
-                // Hedged: retain a copy of the group (the original buffer
-                // is about to be swapped into the ring slot) and plant a
-                // cancel flag the broker can flip if a duplicate wins.
-                let (copy, flag) = if hedging {
-                    (sc.per_shard[s].clone(), Some(Arc::new(AtomicBool::new(false))))
-                } else {
-                    (Vec::new(), None)
-                };
-                let per_shard = &mut sc.per_shard[s];
-                let planted = flag.clone();
-                let depth = port.rings.req.len() + 1;
-                let host = &port.host;
-                let pushed = port.rings.req.try_push(|slot| {
-                    std::mem::swap(&mut slot.subs, per_shard);
-                    slot.enqueued_at = now;
-                    slot.ctx = ctx;
-                    slot.cancel = planted;
-                    host.ring_enqueued(now, depth);
-                });
-                if pushed {
-                    router.begin(s, r);
-                    router.note_routed(clock, s, r);
-                    sc.sent.push((s, r, sub_span, now));
-                    if hedging {
-                        sc.hedge_copies.push(copy);
-                        sc.hedge_flags.push(flag);
-                    }
-                } else {
-                    // A full request ring is the shard refusing work at
-                    // its (bounded) queue: account it as a full-queue
-                    // rejection, exactly like the channel-mode gate.
-                    port.host.ring_reject_full(now);
-                    reject_group(sc, s);
-                    trace_recv(trace, clock, sub_span);
-                }
-            }
-            Err(_reason) => {
-                reject_group(sc, s);
-                trace_recv(trace, clock, sub_span);
-            }
-        }
-    }
-    let delay = if hedging { sc.hedge.current() } else { Duration::ZERO };
-    for si in 0..sc.sent.len() {
-        let (s, r, sub_span, sent_at) = sc.sent[si];
-        let p = router.phys(s, r);
-        if !hedging {
-            let port = &mut ports[p];
-            let resp = &mut sc.resp[s];
-            let hand_back = &mut sc.per_shard[s];
-            let popped = port.rings.rep.pop_wait(timeout, |out| {
-                std::mem::swap(&mut out.batch, resp);
-                std::mem::swap(&mut out.subs, hand_back);
-            });
-            router.end(s, r);
-            trace_recv(trace, clock, sub_span);
-            if popped.is_none() {
-                port.poisoned = true;
-                first_err = first_err.or(Some(PlanError::ShardFailed));
-            }
-            // Drop the handed-back sub-queries now (releasing their payload
-            // `Arc`s back to the pool deterministically) but keep the buffer.
-            sc.per_shard[s].clear();
-            continue;
-        }
-        // Hedged wait: give the primary the quantile delay first.
-        let first_wait = delay.min(timeout);
-        let popped = {
-            let resp = &mut sc.resp[s];
-            let hand_back = &mut sc.per_shard[s];
-            ports[p].rings.rep.pop_wait(first_wait, |out| {
-                std::mem::swap(&mut out.batch, resp);
-                std::mem::swap(&mut out.subs, hand_back);
-            })
-        };
-        if popped.is_some() {
-            router.end(s, r);
-            sc.hedge.record(clock.now().saturating_sub(sent_at));
-            trace_recv(trace, clock, sub_span);
-            sc.per_shard[s].clear();
-            continue;
-        }
-        // Straggler: try to fire the duplicate on the next replica's own
-        // ring port, charging *its* gate (incremental demand).
-        let hr = (r + 1) % router.replicas;
-        let hp = router.phys(s, hr);
-        let mut fired_at = 0;
-        let mut hedge_flag: Option<Arc<AtomicBool>> = None;
-        if first_wait < timeout && !ports[hp].poisoned {
-            if let Ok(now) = ports[hp].host.ring_admit() {
-                let flag = Arc::new(AtomicBool::new(false));
-                let copy = &mut sc.hedge_copies[si];
-                let planted = Some(Arc::clone(&flag));
-                let port = &mut ports[hp];
-                let depth = port.rings.req.len() + 1;
-                let host = &port.host;
-                let pushed = port.rings.req.try_push(|slot| {
-                    std::mem::swap(&mut slot.subs, copy);
-                    slot.enqueued_at = now;
-                    slot.ctx = None;
-                    slot.cancel = planted;
-                    host.ring_enqueued(now, depth);
-                });
-                if pushed {
-                    router.begin(s, hr);
-                    router.note_hedge_fired(now, s, r, hr, delay.as_nanos() as Nanos);
-                    fired_at = now;
-                    hedge_flag = Some(flag);
-                } else {
-                    ports[hp].host.ring_reject_full(now);
-                }
-            }
-        }
-        let Some(hedge_flag) = hedge_flag else {
-            // Couldn't hedge (admission refused / ring full / poisoned):
-            // keep waiting on the primary like an unhedged round.
-            let popped = {
-                let resp = &mut sc.resp[s];
-                let hand_back = &mut sc.per_shard[s];
-                ports[p].rings.rep.pop_wait(timeout, |out| {
-                    std::mem::swap(&mut out.batch, resp);
-                    std::mem::swap(&mut out.subs, hand_back);
-                })
-            };
-            router.end(s, r);
-            trace_recv(trace, clock, sub_span);
-            if popped.is_none() {
-                ports[p].poisoned = true;
-                first_err = first_err.or(Some(PlanError::ShardFailed));
-            }
-            sc.per_shard[s].clear();
-            continue;
-        };
-        // Race: busy-poll both reply rings (the engine owns both ports, so
-        // a blocking wait on one could miss the other's earlier reply).
-        let deadline = fired_at + timeout.as_nanos() as Nanos;
-        // 0 = pending, 1 = primary won, 2 = hedge won, 3 = timeout.
-        let mut outcome = 0u8;
-        while outcome == 0 {
-            let got = {
-                let resp = &mut sc.resp[s];
-                let hand_back = &mut sc.per_shard[s];
-                ports[p].rings.rep.try_pop(|out| {
-                    std::mem::swap(&mut out.batch, resp);
-                    std::mem::swap(&mut out.subs, hand_back);
-                })
-            };
-            if got.is_some() {
-                outcome = 1;
-                break;
-            }
-            let got = {
-                let resp = &mut sc.resp[s];
-                let hand_back = &mut sc.hedge_copies[si];
-                ports[hp].rings.rep.try_pop(|out| {
-                    std::mem::swap(&mut out.batch, resp);
-                    std::mem::swap(&mut out.subs, hand_back);
-                })
-            };
-            if got.is_some() {
-                outcome = 2;
-                break;
-            }
-            if clock.now() >= deadline {
-                outcome = 3;
-                break;
-            }
-            std::thread::yield_now();
-        }
-        match outcome {
-            1 => {
-                // Primary won: cancel the duplicate, then drain its reply
-                // (the one-outstanding ring invariant requires it; a
-                // cancelled-at-dequeue loser answers immediately).
-                let now = clock.now();
-                hedge_flag.store(true, Ordering::Release);
-                router.note_hedge_cancelled(now, s, hr);
-                if let Some(pt) = trace.as_mut() {
-                    pt.on_hedge_cancel(s as u16, fired_at, now);
-                }
-                sc.hedge.record(now.saturating_sub(sent_at));
-                let drained = {
-                    let batch = &mut sc.discard_batch;
-                    let subs = &mut sc.discard_subs;
-                    ports[hp].rings.rep.pop_wait(timeout, |out| {
-                        std::mem::swap(&mut out.batch, batch);
-                        std::mem::swap(&mut out.subs, subs);
-                    })
-                };
-                sc.discard_batch.clear();
-                sc.discard_subs.clear();
-                if drained.is_none() {
-                    ports[hp].poisoned = true;
-                }
-            }
-            2 => {
-                // Hedge won: flip the primary's planted flag and drain it.
-                let now = clock.now();
-                if let Some(flag) = sc.hedge_flags[si].as_ref() {
-                    flag.store(true, Ordering::Release);
-                }
-                router.note_hedge_cancelled(now, s, r);
-                if let Some(pt) = trace.as_mut() {
-                    pt.on_hedge_cancel(s as u16, sent_at, now);
-                }
-                sc.hedge.record(now.saturating_sub(fired_at));
-                let drained = {
-                    let batch = &mut sc.discard_batch;
-                    let subs = &mut sc.discard_subs;
-                    ports[p].rings.rep.pop_wait(timeout, |out| {
-                        std::mem::swap(&mut out.batch, batch);
-                        std::mem::swap(&mut out.subs, subs);
-                    })
-                };
-                sc.discard_batch.clear();
-                sc.discard_subs.clear();
-                if drained.is_none() {
-                    ports[p].poisoned = true;
-                }
-            }
-            _ => {
-                // Neither replied within the timeout: both ports have an
-                // outstanding request and can never be trusted again.
-                ports[p].poisoned = true;
-                ports[hp].poisoned = true;
-                first_err = first_err.or(Some(PlanError::ShardFailed));
-            }
-        }
-        router.end(s, r);
-        router.end(s, hr);
-        trace_recv(trace, clock, sub_span);
-        sc.per_shard[s].clear();
-    }
-    sc.sent.clear();
-    sc.hedge_copies.clear();
-    sc.hedge_flags.clear();
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
-    }
-}
-
-impl<'a> Exec<'a> {
+impl<'a, P: Port> Exec<'a, P> {
     fn new(
-        port: Port<'a>,
-        n_shards: usize,
+        port: P,
         router: &'a Router,
         timeout: Duration,
         clock: &'a Arc<dyn Clock>,
+        tracer: Option<&'a Tracer>,
     ) -> Self {
+        let n_shards = router.in_flight.len() / router.replicas;
         Self {
             port,
             n_shards,
             router,
             timeout,
             clock,
+            tracer,
             trace: None,
+            flights: Vec::new(),
             scratch: Scratch::new(n_shards),
         }
     }
@@ -1944,36 +1549,179 @@ impl<'a> Exec<'a> {
         sc.slots.push(s);
     }
 
-    /// Runs the staged round: fans out per-shard groups over the port,
-    /// waits every reply, then scans the per-item statuses **in staging
-    /// order** — the first rejection (or error) wins, matching the old
-    /// reassembly order exactly. On `Ok`, the responses are readable via
-    /// [`Exec::next_list`] / [`Exec::next_count`] / [`Exec::next_scalar`].
+    /// Runs the staged round, the one fan-out round of every transport and
+    /// strategy. Every per-shard group goes out, to the replica the
+    /// broker's [`RouteStrategy`] picks, before any is waited for. Then
+    /// every group is gathered, even after an error, so the round's spans
+    /// close and every ring pair is left with no reply outstanding.
+    /// Finally the per-item statuses are scanned **in staging order**: the
+    /// first rejection (or error) wins. On `Ok`, the responses are readable
+    /// via [`Exec::next_list`] / [`Exec::next_count`] / [`Exec::next_scalar`].
+    ///
+    /// The deadline rule: a group must answer by `sent_at + timeout`. When
+    /// hedging, a group still silent after the engine's hedge delay gets
+    /// one untraced duplicate on the next replica; only if that duplicate
+    /// is actually sent does the deadline move to `fired_at + timeout`.
+    /// Then the first reply wins and the loser is cancelled and drained.
+    /// A group that misses its deadline fails the round.
     fn run_round(&mut self) -> Result<(), PlanError> {
-        for oi in 0..self.scratch.shard_order.len() {
-            let s = self.scratch.shard_order[oi];
-            self.scratch.resp[s].clear();
-            self.scratch.cur[s] = Cursor::default();
+        let Exec {
+            port,
+            router,
+            timeout,
+            clock,
+            trace,
+            flights,
+            scratch: sc,
+            ..
+        } = self;
+        let (router, timeout, clock) = (*router, *timeout, *clock);
+        let hedging = router.hedging();
+        let timeout_ns = timeout.as_nanos() as Nanos;
+        let until = |at: Nanos| Duration::from_nanos(at.saturating_sub(clock.now()));
+        let mut first_err = None;
+        for oi in 0..sc.shard_order.len() {
+            let s = sc.shard_order[oi];
+            sc.resp[s].clear();
+            sc.cur[s] = Cursor::default();
+            // The duplicate's copy, taken before the original moves into
+            // the transport. Cheap: sub-queries share payloads via `Arc`.
+            let copy = if hedging { sc.per_shard[s].clone() } else { Vec::new() };
+            let r = router.pick(s);
+            let (ctx, sub_span) = trace_send(trace, clock, s);
+            let sent_at = clock.now();
+            match port.send(router.phys(s, r), &mut sc.per_shard[s], ctx, hedging) {
+                Sent::InFlight(ticket) => {
+                    router.begin(s, r);
+                    router.note_routed(clock, s, r);
+                    flights.push((s, r, ticket, sub_span, sent_at));
+                    if hedging {
+                        sc.hedge_copies.push(copy);
+                    }
+                }
+                Sent::Rejected => {
+                    // It never reached the shard: every item is rejected.
+                    let n = sc.per_shard[s].len();
+                    sc.resp[s].status.resize(n, RepStatus::Rejected);
+                    sc.per_shard[s].clear();
+                    trace_recv(trace, clock, sub_span);
+                }
+                Sent::Failed => {
+                    sc.per_shard[s].clear();
+                    trace_recv(trace, clock, sub_span);
+                    first_err = first_err.or(Some(PlanError::ShardFailed));
+                }
+            }
         }
-        match &mut self.port {
-            Port::Channels(clients) => run_round_channels(
-                &mut self.scratch,
-                &mut self.trace,
-                self.clock,
-                clients,
-                self.router,
-                self.timeout,
-            )?,
-            Port::Rings(ports) => run_round_rings(
-                &mut self.scratch,
-                &mut self.trace,
-                self.clock,
-                ports,
-                self.router,
-                self.timeout,
-            )?,
+        let delay = if hedging { sc.hedge.current() } else { timeout };
+        for (i, (s, r, ticket, sub_span, sent_at)) in flights.drain(..).enumerate() {
+            let deadline = sent_at + timeout_ns;
+            // Alone on the primary: wait out the hedge delay, then fire one
+            // duplicate on the next replica, charging *its* gate. Unhedged,
+            // or when the duplicate cannot be sent, wait until the deadline.
+            let mut wait_until = sent_at + delay.min(timeout).as_nanos() as Nanos;
+            let mut duplicate = None;
+            let alone = loop {
+                let got = port.poll(
+                    &ticket,
+                    until(wait_until),
+                    &mut sc.resp[s],
+                    &sc.tags[s],
+                    &mut sc.per_shard[s],
+                );
+                if got != Ok(false) || wait_until >= deadline {
+                    break got;
+                }
+                wait_until = deadline;
+                let hr = (r + 1) % router.replicas;
+                // Untraced: the loser appears only as the broker-side
+                // `hedge_subquery` span, never as shard-side spans that
+                // would pollute the winner's attribution.
+                let phys = router.phys(s, hr);
+                if let Sent::InFlight(dup) = port.send(phys, &mut sc.hedge_copies[i], None, true) {
+                    let fired_at = clock.now();
+                    router.begin(s, hr);
+                    router.note_hedge_fired(fired_at, s, r, hr, delay.as_nanos() as Nanos);
+                    duplicate = Some((hr, dup, fired_at));
+                    break got;
+                }
+            };
+            match duplicate {
+                None => {
+                    router.end(s, r);
+                    match alone {
+                        Ok(true) if hedging => sc.hedge.record(clock.now().saturating_sub(sent_at)),
+                        Ok(true) => {}
+                        failed => {
+                            port.cancel(ticket, Duration::ZERO);
+                            let e = failed.err().unwrap_or(PlanError::ShardFailed);
+                            first_err = first_err.or(Some(e));
+                        }
+                    }
+                }
+                Some((hr, dup, fired_at)) => {
+                    let deadline = fired_at + timeout_ns;
+                    // Whether the primary (0) or the duplicate (1) can still answer.
+                    let mut live = [true, true];
+                    let primary_won = 'race: loop {
+                        let racers =
+                            [(&ticket, &mut sc.per_shard[s]), (&dup, &mut sc.hedge_copies[i])];
+                        for (k, (t, hand_back)) in racers.into_iter().enumerate() {
+                            if !live[k] {
+                                continue;
+                            }
+                            let resp = &mut sc.resp[s];
+                            match port.poll(t, Duration::ZERO, resp, &sc.tags[s], hand_back) {
+                                Ok(true) => break 'race Some(k == 0),
+                                Ok(false) => {}
+                                Err(_) => live[k] = false,
+                            }
+                        }
+                        if live == [false, false] || clock.now() >= deadline {
+                            break None;
+                        }
+                        // A nap, not a yield: it hands the core to the
+                        // shard engines whose replies the race waits on (a
+                        // yield-spinning engine competes with them on a
+                        // one-core host), and 20us is far below the 200us
+                        // minimum hedge delay already waited.
+                        std::thread::sleep(Duration::from_micros(20));
+                    };
+                    let now = clock.now();
+                    match primary_won {
+                        Some(primary_won) => {
+                            let (loser, loser_r, loser_sent, winner_sent) = if primary_won {
+                                (dup, hr, fired_at, sent_at)
+                            } else {
+                                (ticket, r, sent_at, fired_at)
+                            };
+                            router.note_hedge_cancelled(now, s, loser_r);
+                            if let Some(pt) = trace.as_mut() {
+                                pt.on_hedge_cancel(s as u16, loser_sent, now);
+                            }
+                            sc.hedge.record(now.saturating_sub(winner_sent));
+                            // A loser cancelled at dequeue answers at once.
+                            port.cancel(loser, timeout);
+                        }
+                        None => {
+                            port.cancel(ticket, Duration::ZERO);
+                            port.cancel(dup, Duration::ZERO);
+                            first_err = first_err.or(Some(PlanError::ShardFailed));
+                        }
+                    }
+                    router.end(s, r);
+                    router.end(s, hr);
+                }
+            }
+            trace_recv(trace, clock, sub_span);
+            // Drop the handed-back sub-queries now (releasing their payload
+            // `Arc`s back to the pool deterministically) but keep the buffer.
+            sc.per_shard[s].clear();
         }
-        let sc = &mut self.scratch;
+        sc.hedge_copies.clear();
+        if let Some(e) = first_err {
+            return Err(e);
+        }
         for ii in 0..sc.slots.len() {
             let s = sc.slots[ii];
             let k = sc.cur[s].status;
@@ -2161,7 +1909,7 @@ impl<'a> Exec<'a> {
     }
 }
 
-fn execute_plan(exec: &mut Exec<'_>, q: Query) -> Result<u64, PlanError> {
+fn execute_plan<P: Port>(exec: &mut Exec<'_, P>, q: Query) -> Result<u64, PlanError> {
     match q.kind {
         QueryKind::Qt1Degree => exec.degree(q.u),
         QueryKind::Qt2EdgeExists => Ok(exec.has_edge(q.u, q.v)? as u64),
@@ -2297,8 +2045,8 @@ fn execute_plan(exec: &mut Exec<'_>, q: Query) -> Result<u64, PlanError> {
 
 /// Bounded breadth-first distance search: one communication round per hop,
 /// exactly the multi-round broker/shard interaction of §5.1.
-fn bfs_distance(
-    exec: &mut Exec<'_>,
+fn bfs_distance<P: Port>(
+    exec: &mut Exec<'_, P>,
     from: VertexId,
     to: VertexId,
     max_hops: u32,
@@ -2602,6 +2350,112 @@ mod tests {
         assert_eq!(sorted_intersection_count(&[1, 2, 3], &[2, 3, 4]), 2);
         assert_eq!(sorted_intersection_count(&[], &[1]), 0);
         assert_eq!(sorted_intersection_count(&[5], &[5]), 1);
+    }
+
+    /// Tracks one shard host's queue depth from its event stream and, while
+    /// `slow` is set, stalls every dequeue so the host replies late.
+    #[derive(Debug, Default)]
+    struct StallingProbe {
+        slow: AtomicBool,
+        depth: std::sync::atomic::AtomicI64,
+    }
+
+    impl EventSink for StallingProbe {
+        fn emit(&self, event: &Event) {
+            match event {
+                Event::Enqueued { .. } => {
+                    self.depth.fetch_add(1, Ordering::SeqCst);
+                }
+                Event::Dequeued { .. } | Event::Expired { .. } => {
+                    self.depth.fetch_sub(1, Ordering::SeqCst);
+                    if self.slow.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The rings twin of `tests/failure.rs::hedged_fanout_masks_a_straggling_replica`:
+    /// with the primary replica stalling every dequeue, each query's hedge
+    /// fires and wins, every race cancels and drains its loser, demand
+    /// returns to zero on both replicas, and no ring port is left poisoned.
+    #[test]
+    fn rings_hedge_race_masks_a_straggling_replica() {
+        let g = Graph::generate(&GraphConfig {
+            vertices: 2_000,
+            edges_per_vertex: 4,
+            seed: 21,
+        });
+        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+        let replicas = 2;
+        let broker_cfg = BrokerConfig {
+            subquery_timeout: Duration::from_secs(2),
+            ..BrokerConfig::default()
+        };
+        let shard_engines = ShardConfig::default().engines as usize;
+        let (mut brigs, srigs) = crate::rings::build_topology(
+            1,
+            broker_cfg.engines as usize,
+            1,
+            shard_engines,
+            replicas,
+        );
+        let slice = Arc::new(g.shard_slice(0, 1));
+        // Shard 0's primary is replica 0: only that host stalls.
+        let probes: Vec<Arc<StallingProbe>> = (0..replicas)
+            .map(|r| {
+                let probe = StallingProbe::default();
+                probe.slow.store(r == 0, Ordering::SeqCst);
+                Arc::new(probe)
+            })
+            .collect();
+        let hosts: Vec<Arc<ShardHost>> = srigs
+            .into_iter()
+            .zip(&probes)
+            .map(|(rig, probe)| {
+                ShardHost::spawn_rings(
+                    Arc::clone(&slice),
+                    Arc::new(AlwaysAccept::new()),
+                    clock.clone(),
+                    ShardConfig {
+                        sink: Some(probe.clone()),
+                        ..ShardConfig::default()
+                    },
+                    rig,
+                )
+            })
+            .collect();
+        let broker = Broker::spawn_rings(
+            hosts.clone(),
+            replicas,
+            RouteStrategy::Hedged,
+            Arc::new(AlwaysAccept::new()),
+            clock,
+            broker_cfg,
+            brigs.remove(0),
+        );
+        let qt1 = |u| Query {
+            kind: QueryKind::Qt1Degree,
+            u,
+            v: 0,
+        };
+        for u in 0..20 {
+            assert_eq!(broker.execute(qt1(u)), ClientOutcome::Ok(g.degree(u) as u64), "u={u}");
+        }
+        let hc = broker.hedge_counters();
+        assert!(hc.hedges >= 20, "expected a hedge per query, got {hc:?}");
+        assert_eq!(hc.cancels, hc.hedges, "every race cancels its loser: {hc:?}");
+        for (r, probe) in probes.iter().enumerate() {
+            assert_eq!(probe.depth.load(Ordering::SeqCst), 0, "replica {r} depth at quiescence");
+        }
+        // Back at full speed: a poisoned port would fail these.
+        probes[0].slow.store(false, Ordering::SeqCst);
+        for u in 20..40 {
+            assert_eq!(broker.execute(qt1(u)), ClientOutcome::Ok(g.degree(u) as u64), "u={u}");
+        }
+        teardown(hosts, broker);
     }
 
     #[test]

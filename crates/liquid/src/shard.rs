@@ -92,6 +92,37 @@ impl Default for ShardConfig {
     }
 }
 
+/// The admission gate of a cluster host, broker or shard: `policy` over
+/// `n_types` stats slots, a FIFO of at most `max_queue_len`, and
+/// lifecycle events into `sink` (the null sink when `None`).
+pub(crate) fn host_gate<J>(
+    policy: Arc<dyn AdmissionPolicy>,
+    n_types: usize,
+    clock: Arc<dyn Clock>,
+    max_queue_len: Option<usize>,
+    sink: Option<Arc<dyn EventSink>>,
+) -> Arc<Gate<J>> {
+    let cfg = GateConfig {
+        max_queue_len,
+        ..GateConfig::default()
+    };
+    Arc::new(Gate::new_with_sink(policy, n_types, clock, cfg, sink.unwrap_or_else(null_sink)))
+}
+
+/// Emits a rings engine's `engine_state` park/resume breadcrumb through
+/// its host gate's sink (a no-op unless an observing sink — recorder,
+/// JSONL — is attached).
+pub(crate) fn engine_state<J>(gate: &Gate<J>, engine: u32, parked: bool) {
+    let sink = gate.sink();
+    if sink.enabled() {
+        sink.emit(&Event::EngineState {
+            at: gate.clock().now(),
+            engine,
+            parked,
+        });
+    }
+}
+
 /// Shutdown handle for rings-mode engines: they wait on SPSC wakers, not
 /// on the gate's FIFO, so shutdown must set the flag and wake them.
 struct RingsShutdown {
@@ -122,16 +153,9 @@ impl ShardHost {
         cfg: ShardConfig,
     ) -> Arc<Self> {
         assert!(cfg.engines > 0);
-        let gate: Arc<Gate<Job>> = Arc::new(Gate::new_with_sink(
-            policy.clone(),
-            1, // shard-side stats are type-oblivious, like its policy
-            clock.clone(),
-            GateConfig {
-                max_queue_len: cfg.max_queue_len,
-                ..GateConfig::default()
-            },
-            cfg.sink.clone().unwrap_or_else(null_sink),
-        ));
+        // Shard-side stats are type-oblivious, like its policy.
+        let gate: Arc<Gate<Job>> =
+            host_gate(policy.clone(), 1, clock.clone(), cfg.max_queue_len, cfg.sink.clone());
         let tracer = cfg.tracer.filter(|t| t.enabled());
         let engines = (0..cfg.engines)
             .map(|i| {
@@ -172,16 +196,8 @@ impl ShardHost {
             cfg.engines as usize,
             "ring topology must match engine count"
         );
-        let gate: Arc<Gate<Job>> = Arc::new(Gate::new_with_sink(
-            policy.clone(),
-            1,
-            clock.clone(),
-            GateConfig {
-                max_queue_len: cfg.max_queue_len,
-                ..GateConfig::default()
-            },
-            cfg.sink.clone().unwrap_or_else(null_sink),
-        ));
+        let gate: Arc<Gate<Job>> =
+            host_gate(policy.clone(), 1, clock.clone(), cfg.max_queue_len, cfg.sink.clone());
         let tracer = cfg.tracer.filter(|t| t.enabled());
         let stop = Arc::new(AtomicBool::new(false));
         let wakers: Vec<Arc<Waker>> = rig.engines.iter().map(|e| Arc::clone(&e.waker)).collect();
@@ -334,31 +350,40 @@ impl ShardHost {
     }
 }
 
+/// Emits a served batch's `shard_queue` / `shard_service` span pair when
+/// its context is sampled: one pair per batch, matching its one FIFO
+/// entry. Eager, before the reply, so the broker never finalizes a trace
+/// whose shard spans are still in flight.
+fn emit_spans(
+    tracer: Option<&Tracer>,
+    gate: &Gate<Job>,
+    shard: u16,
+    ctx: Option<TraceContext>,
+    enqueued_at: Nanos,
+    dequeued_at: Nanos,
+) {
+    if let (Some(tracer), Some(ctx)) = (tracer, ctx) {
+        if ctx.sampled {
+            tracer.emit_span(
+                ctx.trace,
+                SpanKind::ShardQueue { shard },
+                ctx.parent,
+                enqueued_at,
+                dequeued_at,
+            );
+            tracer.emit_span(
+                ctx.trace,
+                SpanKind::ShardService { shard },
+                ctx.parent,
+                dequeued_at,
+                gate.clock().now(),
+            );
+        }
+    }
+}
+
 fn engine_loop(gate: &Gate<Job>, data: &ShardData, tracer: Option<&Tracer>) {
     let shard = data.shard() as u16;
-    // Eager span emission, before the reply, so the broker never finalizes
-    // a trace whose shard spans are still in flight. A batch gets one
-    // queue/service span pair, matching its one FIFO entry.
-    let emit_spans = |ctx: Option<TraceContext>, enqueued_at: u64, dequeued_at: u64| {
-        if let (Some(tracer), Some(ctx)) = (tracer, ctx) {
-            if ctx.sampled {
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardQueue { shard },
-                    ctx.parent,
-                    enqueued_at,
-                    dequeued_at,
-                );
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardService { shard },
-                    ctx.parent,
-                    dequeued_at,
-                    gate.clock().now(),
-                );
-            }
-        }
-    };
     loop {
         match gate.take(Some(Duration::from_millis(100))) {
             TakeOutcome::Query(admitted) => {
@@ -384,7 +409,7 @@ fn engine_loop(gate: &Gate<Job>, data: &ShardData, tracer: Option<&Tracer>) {
                     })
                     .collect();
                 gate.complete(ty, enqueued_at, dequeued_at);
-                emit_spans(job.ctx, enqueued_at, dequeued_at);
+                emit_spans(tracer, gate, shard, job.ctx, enqueued_at, dequeued_at);
                 let _ = job.reply.send(outcomes);
             }
             TakeOutcome::Expired(admitted) => {
@@ -419,36 +444,6 @@ fn rings_engine_loop(
     // only — see the broker loop's breadcrumb note.
     let engine = 1000 * (data.shard() as u32 + 1) + engine;
     let mut idle = false;
-    let engine_state = |parked: bool| {
-        let sink = gate.sink();
-        if sink.enabled() {
-            sink.emit(&Event::EngineState {
-                at: gate.clock().now(),
-                engine,
-                parked,
-            });
-        }
-    };
-    let emit_spans = |ctx: Option<TraceContext>, enqueued_at: u64, dequeued_at: u64| {
-        if let (Some(tracer), Some(ctx)) = (tracer, ctx) {
-            if ctx.sampled {
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardQueue { shard },
-                    ctx.parent,
-                    enqueued_at,
-                    dequeued_at,
-                );
-                tracer.emit_span(
-                    ctx.trace,
-                    SpanKind::ShardService { shard },
-                    ctx.parent,
-                    dequeued_at,
-                    gate.clock().now(),
-                );
-            }
-        }
-    };
     loop {
         if stop.load(Ordering::Acquire) {
             return;
@@ -494,7 +489,7 @@ fn rings_engine_loop(
                 assert!(pushed, "shard reply ring full");
                 if !cancelled {
                     gate.complete(DEFAULT_TYPE, enqueued_at, dequeued_at);
-                    emit_spans(ctx, enqueued_at, dequeued_at);
+                    emit_spans(tracer, gate, shard, ctx, enqueued_at, dequeued_at);
                 }
             });
             worked |= serviced.is_some();
@@ -502,7 +497,7 @@ fn rings_engine_loop(
         if worked {
             if idle {
                 idle = false;
-                engine_state(false);
+                engine_state(gate, engine, false);
             }
             continue;
         }
@@ -513,7 +508,7 @@ fn rings_engine_loop(
         }
         if !idle {
             idle = true;
-            engine_state(true);
+            engine_state(gate, engine, true);
         }
         rig.waker.park(Duration::from_millis(1));
     }
