@@ -18,6 +18,8 @@
 //! totals barely move: admission is decided before the queue, so the
 //! discipline mostly redistributes waiting, not load.
 
+use std::sync::Arc;
+
 use bouncer_bench::runmode::RunMode;
 use bouncer_bench::simstudy::{SimStudy, TYPE_NAMES};
 use bouncer_bench::table::{ms_opt, pct, Table};
@@ -53,7 +55,7 @@ fn main() {
             cfg.measured_queries = mode.sim_measured;
             cfg.warmup_queries = mode.sim_warmup;
             cfg.discipline = discipline.clone();
-            let r = run(policy.as_ref(), study.mix(), &cfg);
+            let r = run(Arc::clone(&policy), study.mix(), &cfg);
             let slow = study.ty("slow");
             let fast = study.ty("fast");
             let wait90 = r.stats.per_type[slow.index()]

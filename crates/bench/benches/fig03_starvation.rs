@@ -36,7 +36,7 @@ fn main() {
     ];
     for (label, display) in policies {
         let policy = study.scenario().build_policy(label, 7).unwrap();
-        let r = study.run_once(policy.as_ref(), factor, study.spec().seed, &mode);
+        let r = study.run_once(policy, factor, study.spec().seed, &mode);
         table.row(vec![
             display.to_owned(),
             pct(r.rejection_pct(fast)),

@@ -9,6 +9,7 @@
 //! the [`RunMode`] sizing (quick vs paper-scale).
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bouncer_core::policy::AdmissionPolicy;
 use bouncer_core::slo::SloConfig;
@@ -116,7 +117,7 @@ impl SimStudy {
     /// `factor × QPS_full_load`, sized by `mode`.
     pub fn run_once(
         &self,
-        policy: &dyn AdmissionPolicy,
+        policy: Arc<dyn AdmissionPolicy>,
         factor: f64,
         seed: u64,
         mode: &RunMode,
@@ -154,7 +155,7 @@ impl SimStudy {
                     .attach_controller(label, &policy, &mut cfg)
                     .unwrap_or_else(|e| panic!("{e}"));
             }
-            let result = run(policy.as_ref(), self.mix(), &cfg);
+            let result = run(policy, self.mix(), &cfg);
             acc.add(&result, self.registry());
         }
         acc.finish(mode.runs);
@@ -169,7 +170,7 @@ impl SimStudy {
         let mut acc = AvgResult::zero(self.registry().len());
         for i in 0..mode.runs {
             let seed = self.spec().seed + 7919 * i;
-            let result = self.run_once(self.scenario.build(policy, seed).as_ref(), factor, seed, mode);
+            let result = self.run_once(self.scenario.build(policy, seed), factor, seed, mode);
             acc.add(&result, self.registry());
         }
         acc.finish(mode.runs);

@@ -608,7 +608,7 @@ where
     let controller = scenario
         .attach_controller(&label, &policy, &mut cfg)
         .map_err(|e| ParseError(e.to_string()))?;
-    let result = run(policy.as_ref(), scenario.mix(), &cfg);
+    let result = run(Arc::clone(&policy), scenario.mix(), &cfg);
     let dropped_writes = jsonl.as_ref().map_or(0, |j| j.dropped_writes());
 
     if let Some(path) = args.get("metrics-out") {

@@ -1,17 +1,32 @@
 //! The admission gate: policy + FIFO queue + statistics, wired together.
 //!
-//! [`Gate`] is the runtime embodiment of Figure 1 for real (threaded) hosts:
-//! transport threads call [`Gate::offer`] with incoming queries, engine
-//! threads loop on [`Gate::take`] / do the work / [`Gate::complete`]. All
-//! policy hooks and measurement points fire in the right order from these
-//! three calls, so a host implementation cannot get the bookkeeping wrong.
+//! [`Gate`] is the runtime embodiment of Figure 1. Its five hooks are the
+//! only code that does Figure 1's accounting (stats, policy hooks, events):
+//! [`Gate::admit_external`] (Point 1: receive + admit),
+//! [`Gate::enqueued_external`] or [`Gate::reject_full_external`] (enqueue,
+//! or the `L_limit` safeguard), [`Gate::dequeued_external`] (Point 2:
+//! dequeue or expire) and [`Gate::complete`] (Point 3).
+//!
+//! Every host drives those hooks, differing only in where its queue lives:
+//! - channel and TCP hosts use the gate's own FIFO queue through
+//!   [`Gate::offer`] and [`Gate::take`], which are nothing but compositions
+//!   of the hooks around a push and a pop;
+//! - the rings data path calls the hooks around its SPSC rings;
+//! - the §5.3 simulator calls them around its simulated queue, under a
+//!   `ManualClock` set to each event's virtual time.
+//!
+//! A query is accounted, and its `Admitted`/`Enqueued` events emitted,
+//! before any engine can pop it: `offer` runs `enqueued_external` under the
+//! queue lock, as rings runs it inside the ring push. So on channel hosts
+//! emission happens under the queue lock, and an [`EventSink`] must never
+//! call back into a gate.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bouncer_metrics::{Clock, Nanos};
 
-use crate::framework::queue::{AdmissionQueue, Discipline, Entry, PopOutcome};
+use crate::framework::queue::{AdmissionQueue, Entry, PopOutcome};
 use crate::framework::stats::ServerStats;
 use crate::obs::{null_sink, Event, EventSink};
 use crate::policy::{AdmissionPolicy, RejectReason};
@@ -22,9 +37,6 @@ use crate::types::TypeId;
 pub struct GateConfig {
     /// The `L_limit` queue-length safeguard (§5.4). `None` = unbounded.
     pub max_queue_len: Option<usize>,
-    /// Service discipline for the queue (FIFO in the paper's deployment;
-    /// per-type priorities per the §7 extension).
-    pub discipline: Discipline,
 }
 
 /// A query handed to an engine thread by [`Gate::take`].
@@ -114,7 +126,7 @@ impl<T> Gate<T> {
         policy.attach_sink(Arc::clone(&sink));
         Self {
             policy,
-            queue: AdmissionQueue::with_discipline(cfg.max_queue_len, cfg.discipline),
+            queue: AdmissionQueue::new(cfg.max_queue_len),
             stats: Arc::new(ServerStats::new(n_types)),
             clock,
             sink,
@@ -137,62 +149,32 @@ impl<T> Gate<T> {
         payload: T,
         deadline: Option<Nanos>,
     ) -> Result<(), (RejectReason, T)> {
-        let now = self.clock.now();
-        self.stats.on_received(ty);
-        match self.policy.admit(ty, now) {
-            crate::policy::Decision::Reject(reason) => {
-                self.stats.on_rejected(ty, reason);
-                if self.sink.enabled() {
-                    self.sink.emit(&Event::Rejected { at: now, ty, reason });
-                }
-                Err((reason, payload))
-            }
-            crate::policy::Decision::Accept => {
-                let entry = Entry {
-                    ty,
-                    enqueued_at: now,
-                    deadline,
-                    payload,
-                };
-                // Account under the queue lock, before an engine can pop
-                // the entry: its `on_dequeued` must never run first.
-                let accounted = self.queue.push_with(entry, || {
-                    self.stats.on_accepted(ty);
-                    self.policy.on_enqueued(ty, now);
-                });
-                match accounted {
-                    Ok(queue_len) => {
-                        if self.sink.enabled() {
-                            self.sink.emit(&Event::Admitted { at: now, ty });
-                            self.sink.emit(&Event::Enqueued {
-                                at: now,
-                                ty,
-                                queue_len,
-                            });
-                        }
-                        Ok(())
-                    }
-                    Err(entry) => {
-                        // The L_limit safeguard overrode the policy.
-                        self.stats.on_rejected(ty, RejectReason::QueueFull);
-                        if self.sink.enabled() {
-                            self.sink.emit(&Event::Rejected {
-                                at: now,
-                                ty,
-                                reason: RejectReason::QueueFull,
-                            });
-                        }
-                        Err((RejectReason::QueueFull, entry.payload))
-                    }
-                }
-            }
-        }
+        let now = match self.admit_external(ty) {
+            Ok(now) => now,
+            Err(reason) => return Err((reason, payload)),
+        };
+        let entry = Entry {
+            ty,
+            enqueued_at: now,
+            deadline,
+            payload,
+        };
+        // Account and emit under the queue lock, before an engine can pop
+        // the entry: its `dequeued_external` must never run first.
+        self.queue
+            .push_with(entry, |queue_len| self.enqueued_external(ty, now, queue_len))
+            .map_err(|entry| {
+                // The L_limit safeguard overrode the policy.
+                self.reject_full_external(ty, now);
+                (RejectReason::QueueFull, entry.payload)
+            })
     }
 
-    /// Producer-side admission bookkeeping for a queue that lives *outside*
-    /// the gate (the SPSC-ring data path): Point-1 receive accounting, the
-    /// policy decision, and rejection stats/events — without touching the
-    /// gate's own mutex-guarded queue. On acceptance the caller must either
+    /// Producer-side admission bookkeeping (Point 1): receive accounting,
+    /// the policy decision, and rejection stats/events — without touching
+    /// the gate's own mutex-guarded queue, so hosts whose queue lives
+    /// outside the gate (the SPSC rings, the simulator) call it directly;
+    /// [`Gate::offer`] is built on it. On acceptance the caller must either
     /// publish the query to its external queue, reporting
     /// [`Gate::enqueued_external`] with the returned timestamp before the
     /// query becomes visible to consumers, or report
@@ -283,26 +265,17 @@ impl<T> Gate<T> {
     pub fn take(&self, timeout: Option<Duration>) -> TakeOutcome<T> {
         match self.queue.pop(timeout) {
             PopOutcome::Entry(entry) => {
-                let now = self.clock.now();
-                let wait = now.saturating_sub(entry.enqueued_at);
-                self.policy.on_dequeued(entry.ty, wait, now);
+                let (dequeued_at, expired) =
+                    self.dequeued_external(entry.ty, entry.enqueued_at, entry.deadline);
                 let admitted = Admitted {
                     ty: entry.ty,
                     enqueued_at: entry.enqueued_at,
-                    dequeued_at: now,
+                    dequeued_at,
                     payload: entry.payload,
                 };
-                if entry.deadline.is_some_and(|d| now > d) {
-                    self.stats.on_expired(entry.ty);
-                    if self.sink.enabled() {
-                        self.sink.emit(&Event::Expired { at: now, ty: admitted.ty, wait });
-                    }
+                if expired {
                     TakeOutcome::Expired(admitted)
                 } else {
-                    if self.sink.enabled() {
-                        self.sink.emit(&Event::Dequeued { at: now, ty: admitted.ty, wait });
-                        self.sink.emit(&Event::Started { at: now, ty: admitted.ty });
-                    }
                     TakeOutcome::Query(admitted)
                 }
             }
@@ -428,7 +401,6 @@ mod tests {
             clock,
             GateConfig {
                 max_queue_len: Some(1),
-                ..GateConfig::default()
             },
         );
         gate.offer(TypeId(0), 1).unwrap();

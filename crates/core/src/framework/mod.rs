@@ -20,7 +20,7 @@ mod stats;
 mod ticker;
 
 pub use gate::{Admitted, Gate, GateConfig, TakeOutcome};
-pub use queue::{AdmissionQueue, Discipline, Entry, PopOutcome};
+pub use queue::{AdmissionQueue, Entry, PopOutcome};
 pub use report::render_snapshot;
 pub use stats::{ServerStats, StatsSnapshot, TypeStats};
 pub use ticker::Ticker;

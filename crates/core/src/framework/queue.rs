@@ -9,14 +9,12 @@
 //!
 //! The paper's LIquid "currently processes queries in FIFO order and
 //! evaluating other scheduling disciplines is left as future work" (§6);
-//! [`Discipline::PriorityByType`] implements the priority extension §7
-//! sketches ("extend Bouncer to support queries served based on
-//! priorities"), with FIFO order preserved within a priority level.
+//! the §7 scheduling ablation (priority by type, shortest job first) runs
+//! on the simulator's queue, `bouncer_sim::queue`.
 //!
 //! [`RejectReason::QueueFull`]: crate::policy::RejectReason::QueueFull
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -52,97 +50,12 @@ pub enum PopOutcome<T> {
     TimedOut,
 }
 
-/// The order in which engine processes drain admitted queries.
-#[derive(Debug, Clone, Default)]
-pub enum Discipline {
-    /// First-come, first-served — the paper's deployed order.
-    #[default]
-    Fifo,
-    /// Serve higher-priority types first; FIFO within a priority level.
-    /// `priorities[TypeId::index()]` gives each type's level (higher wins);
-    /// types beyond the vector's length get priority 0.
-    PriorityByType(Vec<u8>),
-}
-
-/// A queued item inside the priority heap: ordered by (priority desc,
-/// arrival sequence asc).
-struct HeapItem<T> {
-    priority: u8,
-    seq: u64,
-    entry: Entry<T>,
-}
-
-impl<T> PartialEq for HeapItem<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapItem<T> {}
-impl<T> PartialOrd for HeapItem<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapItem<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: higher priority first, then older sequence first.
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| Reverse(self.seq).cmp(&Reverse(other.seq)))
-    }
-}
-
-enum Store<T> {
-    Fifo(VecDeque<Entry<T>>),
-    Priority {
-        heap: BinaryHeap<HeapItem<T>>,
-        priorities: Vec<u8>,
-        next_seq: u64,
-    },
-}
-
-impl<T> Store<T> {
-    fn len(&self) -> usize {
-        match self {
-            Store::Fifo(q) => q.len(),
-            Store::Priority { heap, .. } => heap.len(),
-        }
-    }
-
-    fn push(&mut self, entry: Entry<T>) {
-        match self {
-            Store::Fifo(q) => q.push_back(entry),
-            Store::Priority {
-                heap,
-                priorities,
-                next_seq,
-            } => {
-                let priority = priorities.get(entry.ty.index()).copied().unwrap_or(0);
-                heap.push(HeapItem {
-                    priority,
-                    seq: *next_seq,
-                    entry,
-                });
-                *next_seq += 1;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry<T>> {
-        match self {
-            Store::Fifo(q) => q.pop_front(),
-            Store::Priority { heap, .. } => heap.pop().map(|item| item.entry),
-        }
-    }
-}
-
 struct Inner<T> {
-    store: Store<T>,
+    store: VecDeque<Entry<T>>,
     closed: bool,
 }
 
-/// A thread-safe bounded queue with blocking consumers and a pluggable
-/// service discipline.
+/// A thread-safe bounded FIFO queue with blocking consumers.
 pub struct AdmissionQueue<T> {
     inner: Mutex<Inner<T>>,
     available: Condvar,
@@ -153,22 +66,9 @@ impl<T> AdmissionQueue<T> {
     /// Creates a FIFO queue; `max_len` is the `L_limit` safeguard (`None`
     /// for unbounded, as in the paper's simulation study).
     pub fn new(max_len: Option<usize>) -> Self {
-        Self::with_discipline(max_len, Discipline::Fifo)
-    }
-
-    /// Creates a queue with an explicit service discipline.
-    pub fn with_discipline(max_len: Option<usize>, discipline: Discipline) -> Self {
-        let store = match discipline {
-            Discipline::Fifo => Store::Fifo(VecDeque::new()),
-            Discipline::PriorityByType(priorities) => Store::Priority {
-                heap: BinaryHeap::new(),
-                priorities,
-                next_seq: 0,
-            },
-        };
         Self {
             inner: Mutex::new(Inner {
-                store,
+                store: VecDeque::new(),
                 closed: false,
             }),
             available: Condvar::new(),
@@ -179,13 +79,17 @@ impl<T> AdmissionQueue<T> {
     /// Appends an entry, failing (returning it back) when the queue is full
     /// or closed.
     pub fn push(&self, entry: Entry<T>) -> Result<(), Entry<T>> {
-        self.push_with(entry, || {}).map(|_| ())
+        self.push_with(entry, |_| {})
     }
 
     /// [`AdmissionQueue::push`] that runs `on_accept` under the queue lock
     /// once the entry is certain to be queued, before any consumer can pop
-    /// it. Returns the queue length with the entry included.
-    pub fn push_with(&self, entry: Entry<T>, on_accept: impl FnOnce()) -> Result<usize, Entry<T>> {
+    /// it, passing the queue length with the entry included.
+    pub fn push_with(
+        &self,
+        entry: Entry<T>,
+        on_accept: impl FnOnce(usize),
+    ) -> Result<(), Entry<T>> {
         let mut inner = self.inner.lock();
         if inner.closed {
             return Err(entry);
@@ -195,12 +99,11 @@ impl<T> AdmissionQueue<T> {
                 return Err(entry);
             }
         }
-        on_accept();
-        inner.store.push(entry);
-        let len = inner.store.len();
+        on_accept(inner.store.len() + 1);
+        inner.store.push_back(entry);
         drop(inner);
         self.available.notify_one();
-        Ok(len)
+        Ok(())
     }
 
     /// Dequeues the oldest entry, blocking up to `timeout` (or indefinitely
@@ -208,7 +111,7 @@ impl<T> AdmissionQueue<T> {
     pub fn pop(&self, timeout: Option<Duration>) -> PopOutcome<T> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(entry) = inner.store.pop() {
+            if let Some(entry) = inner.store.pop_front() {
                 return PopOutcome::Entry(entry);
             }
             if inner.closed {
@@ -217,7 +120,7 @@ impl<T> AdmissionQueue<T> {
             match timeout {
                 Some(t) => {
                     if self.available.wait_for(&mut inner, t).timed_out() {
-                        return match inner.store.pop() {
+                        return match inner.store.pop_front() {
                             Some(entry) => PopOutcome::Entry(entry),
                             None if inner.closed => PopOutcome::Closed,
                             None => PopOutcome::TimedOut,
@@ -231,7 +134,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Attempts a non-blocking dequeue.
     pub fn try_pop(&self) -> Option<Entry<T>> {
-        self.inner.lock().store.pop()
+        self.inner.lock().store.pop_front()
     }
 
     /// Current queue length.
@@ -316,55 +219,6 @@ mod tests {
         q.close();
         assert!(matches!(q.pop(None), PopOutcome::Entry(_)));
         assert!(matches!(q.pop(None), PopOutcome::Closed));
-    }
-
-    #[test]
-    fn priority_discipline_serves_high_priority_first() {
-        // Types 0 (low) and 1 (high).
-        let q = AdmissionQueue::with_discipline(None, Discipline::PriorityByType(vec![0, 5]));
-        q.push(entry(0, 1)).unwrap();
-        q.push(entry(0, 2)).unwrap();
-        q.push(entry(1, 3)).unwrap();
-        q.push(entry(0, 4)).unwrap();
-        q.push(entry(1, 5)).unwrap();
-        let order: Vec<u32> = std::iter::from_fn(|| q.try_pop().map(|e| e.payload)).collect();
-        // High-priority entries first (FIFO among them), then the lows.
-        assert_eq!(order, vec![1, 1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn priority_is_fifo_within_a_level() {
-        let q: AdmissionQueue<u64> =
-            AdmissionQueue::with_discipline(None, Discipline::PriorityByType(vec![3]));
-        for i in 0..10u64 {
-            q.push(Entry {
-                ty: TypeId(0),
-                enqueued_at: i,
-                deadline: None,
-                payload: i,
-            })
-            .unwrap();
-        }
-        for i in 0..10u64 {
-            assert_eq!(q.try_pop().unwrap().payload, i);
-        }
-    }
-
-    #[test]
-    fn unlisted_types_default_to_priority_zero() {
-        let q = AdmissionQueue::with_discipline(None, Discipline::PriorityByType(vec![0, 9]));
-        q.push(entry(7, 1)).unwrap(); // type 7 beyond the vector -> 0
-        q.push(entry(1, 2)).unwrap();
-        assert_eq!(q.try_pop().unwrap().ty, TypeId(1));
-        assert_eq!(q.try_pop().unwrap().ty, TypeId(7));
-    }
-
-    #[test]
-    fn priority_queue_honors_length_limit() {
-        let q = AdmissionQueue::with_discipline(Some(2), Discipline::PriorityByType(vec![1]));
-        q.push(entry(0, 1)).unwrap();
-        q.push(entry(0, 2)).unwrap();
-        assert!(q.push(entry(0, 3)).is_err());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod prelude {
         slo_tail_targets, ControlDecision, ControlParam, ControlTap, Controller, StagedParam,
         Telemetry, TypeTelemetry,
     };
-    pub use crate::framework::{Discipline, Gate, GateConfig, ServerStats, StatsSnapshot};
+    pub use crate::framework::{Gate, GateConfig, ServerStats, StatsSnapshot};
     pub use crate::obs::{
         null_sink, render_prometheus, render_prometheus_full, render_prometheus_with_traces, Event,
         EventSink, HedgeCounters, JsonlSink, MemorySink, NullSink, PoolCounters, TraceContext,

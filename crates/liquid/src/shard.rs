@@ -102,10 +102,7 @@ pub(crate) fn host_gate<J>(
     max_queue_len: Option<usize>,
     sink: Option<Arc<dyn EventSink>>,
 ) -> Arc<Gate<J>> {
-    let cfg = GateConfig {
-        max_queue_len,
-        ..GateConfig::default()
-    };
+    let cfg = GateConfig { max_queue_len };
     Arc::new(Gate::new_with_sink(policy, n_types, clock, cfg, sink.unwrap_or_else(null_sink)))
 }
 

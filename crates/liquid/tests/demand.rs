@@ -1,6 +1,7 @@
-//! Demand conservation on the rings data path: a query's enqueue must be
-//! accounted before any engine can dequeue it, and Bouncer's per-type
-//! `queued` counter must return to exactly zero at quiescence.
+//! Demand conservation: a query's enqueue must be accounted (and its
+//! `Enqueued` event emitted) before any engine can dequeue it, on the rings
+//! and the channel data paths alike, and Bouncer's per-type `queued`
+//! counter must return to exactly zero at quiescence.
 //!
 //! Rings producers publish into SPSC rings that the engines drain without a
 //! lock. If a producer published first and accounted second, a fast engine
@@ -66,8 +67,10 @@ impl EventSink for DepthProbe {
     }
 }
 
-#[test]
-fn rings_account_enqueue_before_the_engine_can_dequeue() {
+/// Sends `queries` QT1 queries through a cluster whose broker and shard
+/// sinks are [`DepthProbe`]s, then checks that no engine dequeued a query
+/// before its `Enqueued` reached the sink.
+fn assert_enqueue_seen_before_dequeue(transport: TransportKind, queries: usize) {
     let broker_probe = Arc::new(DepthProbe::default());
     let shard_probe = Arc::new(DepthProbe::default());
     let cfg = ClusterConfig {
@@ -79,11 +82,11 @@ fn rings_account_enqueue_before_the_engine_can_dequeue() {
             sink: Some(shard_probe.clone()),
             ..ShardConfig::default()
         },
-        ..config(TransportKind::Rings)
+        ..config(transport)
     };
     let cluster = Cluster::spawn(&cfg, |_reg, _p| Arc::new(AlwaysAccept::new()));
     let mut rng = SmallRng::seed_from_u64(7);
-    for _ in 0..50 {
+    for _ in 0..queries {
         let q = Query::random(QueryKind::Qt1Degree, cluster.vertices(), &mut rng);
         cluster.execute(q);
     }
@@ -96,6 +99,19 @@ fn rings_account_enqueue_before_the_engine_can_dequeue() {
         );
         assert_eq!(probe.depth.load(Ordering::SeqCst), 0, "{tier}: depth at quiescence");
     }
+}
+
+#[test]
+fn rings_account_enqueue_before_the_engine_can_dequeue() {
+    assert_enqueue_seen_before_dequeue(TransportKind::Rings, 50);
+}
+
+/// The channel hosts' `Gate::offer` must emit `Admitted`/`Enqueued` under
+/// the queue lock, before an engine's `take` can pop the query and emit
+/// its `Dequeued`.
+#[test]
+fn channel_gates_emit_enqueue_before_the_engine_can_dequeue() {
+    assert_enqueue_seen_before_dequeue(TransportKind::InProc, 200);
 }
 
 /// 100 k cheap queries from 8 closed-loop clients through a live Bouncer on

@@ -5,6 +5,8 @@
 //! ```sh
 //! cargo run --release -p bouncer-sim --example rate_sweep
 //! ```
+use std::sync::Arc;
+
 use bouncer_core::prelude::*;
 use bouncer_metrics::time::millis;
 use bouncer_sim::{run, SimConfig};
@@ -22,7 +24,7 @@ fn main() {
         let mut cfg = SimConfig::quick(full * factor, 3);
         cfg.measured_queries = 200_000;
         cfg.warmup_queries = 50_000;
-        let r = run(&b, &mix, &cfg);
+        let r = run(Arc::new(b), &mix, &cfg);
         println!("f={factor}: util={:.1}% rej_all={:.2}% rej_slow={:.1}% rej_msl={:.2}% rt50_slow={:.1}ms rt50_msl={:.1}ms",
             r.utilization_pct(), r.overall_rejection_pct(), r.rejection_pct(slow), r.rejection_pct(msl),
             r.response_ms(slow, 0.5).unwrap_or(0.0), r.response_ms(msl, 0.5).unwrap_or(0.0));

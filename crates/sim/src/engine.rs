@@ -7,13 +7,14 @@ use std::sync::Arc;
 
 use crate::queue::{SimDiscipline, SimQueue};
 
-use bouncer_core::framework::ServerStats;
+use bouncer_core::framework::{Gate, GateConfig};
 use bouncer_core::obs::{
     null_sink, Event as ObsEvent, EventSink, QueryTrace, SpanKind, SpanStatus, Tracer,
 };
-use bouncer_core::policy::{AdmissionPolicy, RejectReason};
+use bouncer_core::policy::AdmissionPolicy;
 use bouncer_core::types::TypeId;
 use bouncer_metrics::time::{millis, Nanos, SECOND};
+use bouncer_metrics::ManualClock;
 use bouncer_workload::dist::Exponential;
 use bouncer_workload::mix::QueryMix;
 use rand::rngs::SmallRng;
@@ -118,7 +119,6 @@ enum Event {
     /// An engine process finishes the query it started.
     Completion {
         ty: TypeId,
-        pt: Nanos,
         enqueued_at: Nanos,
         dequeued_at: Nanos,
         /// Key into the in-flight trace table, when tracing.
@@ -131,7 +131,12 @@ enum Event {
 /// Runs one simulation: drives `policy` with Poisson arrivals from `mix`
 /// until `cfg.measured_queries` post-warm-up queries have arrived, then
 /// drains, and returns the measured statistics.
-pub fn run(policy: &dyn AdmissionPolicy, mix: &QueryMix, cfg: &SimConfig) -> SimResult {
+///
+/// The policy sits behind a [`Gate`] over a [`ManualClock`] set to each
+/// event's virtual time, and every Figure 1 measurement point goes through
+/// the gate's hooks, the same ones the threaded hosts run; [`SimQueue`]
+/// is the gate's external queue, as the SPSC rings are on the rings path.
+pub fn run(policy: Arc<dyn AdmissionPolicy>, mix: &QueryMix, cfg: &SimConfig) -> SimResult {
     assert!(cfg.parallelism > 0 && cfg.rate_qps > 0.0);
     let n_types = mix.max_type_index().max(
         cfg.mix_shift
@@ -139,11 +144,17 @@ pub fn run(policy: &dyn AdmissionPolicy, mix: &QueryMix, cfg: &SimConfig) -> Sim
             .map(|(_, m)| m.max_type_index())
             .unwrap_or(0),
     );
-    let stats = ServerStats::new(n_types);
-    stats.disable(); // warm-up first
-
+    let clock = Arc::new(ManualClock::new());
     let sink: Arc<dyn EventSink> = cfg.sink.clone().unwrap_or_else(null_sink);
-    policy.attach_sink(Arc::clone(&sink));
+    let gate: Gate<()> = Gate::new_with_sink(
+        policy,
+        n_types,
+        clock.clone(),
+        GateConfig::default(),
+        Arc::clone(&sink),
+    );
+    let stats = gate.stats();
+    stats.disable(); // warm-up first
     let observing = sink.enabled();
     if observing {
         if let Some(hash) = cfg.scenario_hash {
@@ -230,9 +241,10 @@ pub fn run(policy: &dyn AdmissionPolicy, mix: &QueryMix, cfg: &SimConfig) -> Sim
 
     while let Some(Reverse((key, idx))) = heap.pop() {
         now = key.at;
+        clock.set(now);
         match events[idx as usize] {
             Event::Tick => {
-                policy.on_tick(now);
+                gate.tick();
                 if observing {
                     // The virtual-time heartbeat: time-driven sinks (the
                     // health sampler) advance their windows on this even
@@ -252,79 +264,50 @@ pub fn run(policy: &dyn AdmissionPolicy, mix: &QueryMix, cfg: &SimConfig) -> Sim
                     measuring_since = Some(now);
                 }
 
-                stats.on_received(ty);
-                let mut decision = policy.admit(ty, now);
-                if decision.is_accept() {
-                    if let Some(limit) = cfg.max_queue_len {
-                        if queue.len() >= limit {
-                            decision = bouncer_core::policy::Decision::Reject(
-                                RejectReason::QueueFull,
-                            );
-                        }
+                let accepted = match gate.admit_external(ty) {
+                    Err(_) => false,
+                    Ok(_) if cfg.max_queue_len.is_some_and(|limit| queue.len() >= limit) => {
+                        gate.reject_full_external(ty, now);
+                        false
                     }
-                }
+                    Ok(_) => true,
+                };
                 // The admission span is instantaneous in virtual time: the
                 // simulated decision costs nothing (the ideal-system
                 // contrast the paper's Fig. 13 draws).
-                let mut qt = tracer.map(|t| t.begin(Some(ty), now, None));
-                match decision {
-                    bouncer_core::policy::Decision::Reject(reason) => {
-                        stats.on_rejected(ty, reason);
-                        if observing {
-                            sink.emit(&ObsEvent::Rejected { at: now, ty, reason });
-                        }
-                        if let (Some(tracer), Some(mut qt)) = (tracer, qt.take()) {
-                            qt.record_child(SpanKind::Admission, now, now);
-                            tracer.finish(qt, SpanStatus::Rejected, now);
-                        }
+                let qt = tracer.map(|t| t.begin(Some(ty), now, None));
+                if accepted {
+                    in_flight += 1;
+                    let trace = qt.map(|qt| {
+                        let key = next_trace_key;
+                        next_trace_key = next_trace_key.wrapping_add(1);
+                        traces.insert(key, qt);
+                        key
+                    });
+                    if idle > 0 {
+                        // An idle process picks it up immediately: the
+                        // query passes straight through the empty queue.
+                        idle -= 1;
+                        gate.enqueued_external(ty, now, 1);
+                        gate.dequeued_external(ty, now, None);
+                        schedule(
+                            &mut heap,
+                            &mut events,
+                            now + pt,
+                            Event::Completion {
+                                ty,
+                                enqueued_at: now,
+                                dequeued_at: now,
+                                trace,
+                            },
+                        );
+                    } else {
+                        gate.enqueued_external(ty, now, queue.len() + 1);
+                        queue.push_traced(ty, pt, now, trace);
                     }
-                    bouncer_core::policy::Decision::Accept => {
-                        stats.on_accepted(ty);
-                        in_flight += 1;
-                        policy.on_enqueued(ty, now);
-                        if observing {
-                            sink.emit(&ObsEvent::Admitted { at: now, ty });
-                        }
-                        let trace = qt.take().map(|qt| {
-                            let key = next_trace_key;
-                            next_trace_key = next_trace_key.wrapping_add(1);
-                            traces.insert(key, qt);
-                            key
-                        });
-                        if idle > 0 {
-                            // An idle process picks it up immediately.
-                            idle -= 1;
-                            policy.on_dequeued(ty, 0, now);
-                            if observing {
-                                // The queue was empty (an engine was idle),
-                                // so the query passes straight through it.
-                                sink.emit(&ObsEvent::Enqueued { at: now, ty, queue_len: 1 });
-                                sink.emit(&ObsEvent::Dequeued { at: now, ty, wait: 0 });
-                                sink.emit(&ObsEvent::Started { at: now, ty });
-                            }
-                            schedule(
-                                &mut heap,
-                                &mut events,
-                                now + pt,
-                                Event::Completion {
-                                    ty,
-                                    pt,
-                                    enqueued_at: now,
-                                    dequeued_at: now,
-                                    trace,
-                                },
-                            );
-                        } else {
-                            queue.push_traced(ty, pt, now, trace);
-                            if observing {
-                                sink.emit(&ObsEvent::Enqueued {
-                                    at: now,
-                                    ty,
-                                    queue_len: queue.len(),
-                                });
-                            }
-                        }
-                    }
+                } else if let (Some(tracer), Some(mut qt)) = (tracer, qt) {
+                    qt.record_child(SpanKind::Admission, now, now);
+                    tracer.finish(qt, SpanStatus::Rejected, now);
                 }
 
                 if generated < total_arrivals {
@@ -334,24 +317,12 @@ pub fn run(policy: &dyn AdmissionPolicy, mix: &QueryMix, cfg: &SimConfig) -> Sim
             }
             Event::Completion {
                 ty,
-                pt,
                 enqueued_at,
                 dequeued_at,
                 trace,
             } => {
-                policy.on_completed(ty, pt, now);
-                let wait = dequeued_at - enqueued_at;
-                stats.on_completed(ty, wait, pt);
+                gate.complete(ty, enqueued_at, dequeued_at);
                 in_flight -= 1;
-                if observing {
-                    sink.emit(&ObsEvent::Completed {
-                        at: now,
-                        ty,
-                        wait,
-                        processing: pt,
-                        rt: wait.saturating_add(pt),
-                    });
-                }
                 if let Some(key) = trace {
                     if let (Some(tracer), Some(mut qt)) = (tracer, traces.remove(&key)) {
                         qt.record_child(SpanKind::Admission, qt.start(), qt.start());
@@ -362,19 +333,13 @@ pub fn run(policy: &dyn AdmissionPolicy, mix: &QueryMix, cfg: &SimConfig) -> Sim
                 }
 
                 if let Some(next) = queue.pop() {
-                    let wait = now - next.enqueued_at;
-                    policy.on_dequeued(next.ty, wait, now);
-                    if observing {
-                        sink.emit(&ObsEvent::Dequeued { at: now, ty: next.ty, wait });
-                        sink.emit(&ObsEvent::Started { at: now, ty: next.ty });
-                    }
+                    gate.dequeued_external(next.ty, next.enqueued_at, None);
                     schedule(
                         &mut heap,
                         &mut events,
                         now + next.pt,
                         Event::Completion {
                             ty: next.ty,
-                            pt: next.pt,
                             enqueued_at: next.enqueued_at,
                             dequeued_at: now,
                             trace: next.trace,
@@ -394,7 +359,7 @@ pub fn run(policy: &dyn AdmissionPolicy, mix: &QueryMix, cfg: &SimConfig) -> Sim
 
     let started = measuring_since.unwrap_or(0);
     SimResult {
-        policy_name: policy.name().to_owned(),
+        policy_name: gate.policy().name().to_owned(),
         rate_qps: cfg.rate_qps,
         stats: stats.snapshot(now, cfg.parallelism),
         duration: now.saturating_sub(started),

@@ -10,9 +10,11 @@
 //! (the paper uses 100). Inter-arrival times are exponential (Poisson
 //! traffic); per-type processing times are lognormal per the query mix.
 //! The very same [`AdmissionPolicy`] objects that run on real hosts are
-//! driven here under virtual time.
+//! driven here under virtual time, through the same [`Gate`] hooks: the
+//! simulator owns only the event heap, the queue discipline and tracing.
 //!
 //! [`AdmissionPolicy`]: bouncer_core::policy::AdmissionPolicy
+//! [`Gate`]: bouncer_core::framework::Gate
 
 #![warn(missing_docs)]
 

@@ -56,30 +56,46 @@ impl SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bouncer_core::framework::ServerStats;
-    use bouncer_core::policy::RejectReason;
+    use std::sync::Arc;
+
+    use bouncer_core::framework::{Gate, GateConfig};
+    use bouncer_core::policy::AlwaysAccept;
     use bouncer_metrics::time::{millis, secs};
+    use bouncer_metrics::ManualClock;
 
     #[test]
     fn accessors_derive_from_snapshot() {
-        let stats = ServerStats::new(2);
-        for _ in 0..10 {
-            stats.on_received(TypeId::from_index(1));
+        // Ten queries of type 1 through the gate hooks the simulator runs:
+        // one shed by the L_limit safeguard, one served with a 5 ms wait
+        // and 15 ms of processing.
+        let clock = Arc::new(ManualClock::new());
+        let gate: Gate<()> =
+            Gate::new(Arc::new(AlwaysAccept::new()), 2, clock.clone(), GateConfig::default());
+        let ty = TypeId::from_index(1);
+        for len in 0..10 {
+            let at = gate.admit_external(ty).unwrap();
+            if len == 0 {
+                gate.reject_full_external(ty, at);
+            } else {
+                gate.enqueued_external(ty, at, len);
+            }
         }
-        stats.on_rejected(TypeId::from_index(1), RejectReason::PredictedSloViolation);
-        stats.on_completed(TypeId::from_index(1), millis(5), millis(15));
+        clock.set(millis(5));
+        let (dequeued_at, _) = gate.dequeued_external(ty, 0, None);
+        clock.set(millis(20));
+        gate.complete(ty, 0, dequeued_at);
         let r = SimResult {
             policy_name: "x".into(),
             rate_qps: 1000.0,
-            stats: stats.snapshot(secs(1), 10),
+            stats: gate.stats().snapshot(secs(1), 10),
             duration: secs(1),
             scenario_hash: None,
         };
-        assert!((r.rejection_pct(TypeId::from_index(1)) - 10.0).abs() < 1e-9);
+        assert!((r.rejection_pct(ty) - 10.0).abs() < 1e-9);
         assert!((r.overall_rejection_pct() - 10.0).abs() < 1e-9);
-        let rt = r.response_ms(TypeId::from_index(1), 0.5).unwrap();
+        let rt = r.response_ms(ty, 0.5).unwrap();
         assert!((rt - 20.0).abs() < 1.0, "rt={rt}");
-        let pt = r.processing_ms(TypeId::from_index(1), 0.5).unwrap();
+        let pt = r.processing_ms(ty, 0.5).unwrap();
         assert!((pt - 15.0).abs() < 1.0, "pt={pt}");
         assert!(r.utilization_pct() > 0.0);
         assert_eq!(r.response_ms(TypeId::from_index(0), 0.5), None);

@@ -218,7 +218,7 @@ impl ScenarioSim {
         let policy = self.build_policy(label, seed)?;
         let mut cfg = self.sim_config_at_factor(factor, seed);
         self.attach_controller(label, &policy, &mut cfg)?;
-        Ok(run(policy.as_ref(), &self.mix, &cfg))
+        Ok(run(policy, &self.mix, &cfg))
     }
 }
 
@@ -334,7 +334,7 @@ mod tests {
             .expect("spec has a controller");
         // Seeded from the policy's own A, not the band midpoint.
         assert_eq!(controller.current_value(), 0.05);
-        let result = run(policy.as_ref(), sim.mix(), &cfg);
+        let result = run(policy, sim.mix(), &cfg);
         assert!(result.stats.total_received() > 0);
         assert!(
             !controller.decisions().is_empty(),

@@ -32,7 +32,7 @@ fn paper_bouncer(reg: &TypeRegistry) -> Bouncer {
 fn underload_has_no_rejections_and_low_latency() {
     let (reg, mix) = table1();
     let b = paper_bouncer(&reg);
-    let r = run(&b, &mix, &quick(0.8, 1, &mix));
+    let r = run(Arc::new(b), &mix, &quick(0.8, 1, &mix));
     assert_eq!(r.stats.total_rejected(), 0, "no rejections at 0.8x");
     // At 80% load the system is stable; slow queries' rt_p50 should be near
     // their pt_p50 of 12.51ms, well under the 18ms SLO.
@@ -46,7 +46,7 @@ fn underload_has_no_rejections_and_low_latency() {
 #[test]
 fn unprotected_system_collapses_under_overload() {
     let (reg, mix) = table1();
-    let r = run(&AlwaysAccept::new(), &mix, &quick(1.2, 2, &mix));
+    let r = run(Arc::new(AlwaysAccept::new()), &mix, &quick(1.2, 2, &mix));
     let slow = reg.resolve("slow").unwrap();
     // With no admission control at 1.2x capacity the queue grows without
     // bound and response times explode far beyond any SLO.
@@ -59,7 +59,7 @@ fn unprotected_system_collapses_under_overload() {
 fn bouncer_keeps_slow_queries_within_slo_under_overload() {
     let (reg, mix) = table1();
     let b = paper_bouncer(&reg);
-    let r = run(&b, &mix, &quick(1.2, 3, &mix));
+    let r = run(Arc::new(b), &mix, &quick(1.2, 3, &mix));
     let slow = reg.resolve("slow").unwrap();
     let rt50 = r.response_ms(slow, 0.5).unwrap();
     // Figure 6: Bouncer keeps rt_p50 at/under the 18ms SLO (small histogram
@@ -77,7 +77,7 @@ fn bouncer_keeps_slow_queries_within_slo_under_overload() {
 fn maxql_plateaus_but_violates_slo() {
     let (reg, mix) = table1();
     let p = MaxQueueLength::new(400);
-    let r = run(&p, &mix, &quick(1.3, 4, &mix));
+    let r = run(Arc::new(p), &mix, &quick(1.3, 4, &mix));
     let slow = reg.resolve("slow").unwrap();
     let rt50 = r.response_ms(slow, 0.5).unwrap();
     // Figure 6: MaxQL plateaus around 40ms — above the SLO, bounded by the
@@ -90,7 +90,7 @@ fn maxql_plateaus_but_violates_slo() {
 fn maxqwt_plateaus_near_its_wait_limit() {
     let (reg, mix) = table1();
     let p = MaxQueueWaitTime::new(millis(15), 100);
-    let r = run(&p, &mix, &quick(1.3, 5, &mix));
+    let r = run(Arc::new(p), &mix, &quick(1.3, 5, &mix));
     let slow = reg.resolve("slow").unwrap();
     let rt50 = r.response_ms(slow, 0.5).unwrap();
     // Figure 6: MaxQWT plateaus around ~22ms (15ms wait + slow pt_p50);
@@ -102,7 +102,7 @@ fn maxqwt_plateaus_near_its_wait_limit() {
 fn accept_fraction_caps_utilization_at_threshold() {
     let (_reg, mix) = table1();
     let p = AcceptFraction::new(AcceptFractionConfig::new(0.95, 100));
-    let r = run(&p, &mix, &quick(1.3, 6, &mix));
+    let r = run(Arc::new(p), &mix, &quick(1.3, 6, &mix));
     let util = r.utilization_pct();
     // Figure 7: AcceptFraction is limited by its 95% threshold. The drain
     // phase and update lag add a little measurement slack on top.
@@ -117,13 +117,13 @@ fn bouncer_rejects_fewer_overall_than_type_oblivious_policies() {
     let cfg = quick(1.3, 7, &mix);
 
     let bouncer = paper_bouncer(&reg);
-    let b = run(&bouncer, &mix, &cfg);
+    let b = run(Arc::new(bouncer), &mix, &cfg);
 
     let maxql = MaxQueueLength::new(400);
-    let q = run(&maxql, &mix, &cfg);
+    let q = run(Arc::new(maxql), &mix, &cfg);
 
     let af = AcceptFraction::new(AcceptFractionConfig::new(0.95, 100));
-    let a = run(&af, &mix, &cfg);
+    let a = run(Arc::new(af), &mix, &cfg);
 
     // Figure 8: Bouncer reports the lowest rejection percentage.
     assert!(
@@ -148,12 +148,12 @@ fn starvation_basic_vs_allowance() {
 
     // Basic Bouncer at 1.5x: slow queries starve (>90% rejected, Table 3).
     let basic = paper_bouncer(&reg);
-    let rb = run(&basic, &mix, &cfg);
+    let rb = run(Arc::new(basic), &mix, &cfg);
     assert!(rb.rejection_pct(slow) > 90.0, "basic={}", rb.rejection_pct(slow));
 
     // Acceptance allowance with A=0.1 caps rejections near 90%.
     let aa = AcceptanceAllowance::new(paper_bouncer(&reg), reg.len(), 0.1, 99);
-    let ra = run(&aa, &mix, &cfg);
+    let ra = run(Arc::new(aa), &mix, &cfg);
     assert!(
         ra.rejection_pct(slow) < 92.0,
         "allowance={}",
@@ -171,8 +171,8 @@ fn same_seed_same_result() {
         c.warmup_queries = 10_000;
         c
     };
-    let r1 = run(&paper_bouncer(&reg), &mix, &cfg);
-    let r2 = run(&paper_bouncer(&reg), &mix, &cfg);
+    let r1 = run(Arc::new(paper_bouncer(&reg)), &mix, &cfg);
+    let r2 = run(Arc::new(paper_bouncer(&reg)), &mix, &cfg);
     assert_eq!(r1.stats.total_received(), r2.stats.total_received());
     assert_eq!(r1.stats.total_rejected(), r2.stats.total_rejected());
     assert_eq!(r1.duration, r2.duration);
@@ -188,7 +188,7 @@ fn policies_work_behind_arc_dyn() {
         c.warmup_queries = 5_000;
         c
     };
-    let r = run(&p, &mix, &cfg);
+    let r = run(Arc::new(p), &mix, &cfg);
     assert!(r.stats.total_received() > 0);
 }
 
@@ -199,7 +199,7 @@ fn queue_limit_produces_queue_full_rejections() {
     cfg.max_queue_len = Some(50);
     cfg.measured_queries = 60_000;
     cfg.warmup_queries = 10_000;
-    let r = run(&AlwaysAccept::new(), &mix, &cfg);
+    let r = run(Arc::new(AlwaysAccept::new()), &mix, &cfg);
     let quf: u64 = r
         .stats
         .per_type

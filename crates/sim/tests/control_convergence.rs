@@ -55,7 +55,7 @@ fn run_adaptive(shift: bool) -> Arc<Controller> {
         .attach_controller("adaptive", &policy, &mut cfg)
         .expect("controller wiring")
         .expect("spec has a controller");
-    run(policy.as_ref(), scenario.mix(), &cfg);
+    run(policy, scenario.mix(), &cfg);
     controller
 }
 

@@ -32,7 +32,7 @@ fn admitted_query_emits_the_full_lifecycle_in_order() {
     let mut cfg = one_query(11);
     cfg.sink = Some(sink.clone());
 
-    let result = run(&AlwaysAccept::new(), &mix, &cfg);
+    let result = run(Arc::new(AlwaysAccept::new()), &mix, &cfg);
     assert_eq!(result.stats.total_rejected(), 0);
 
     // Maintenance ticks ride the same sink; the query's own trail is
@@ -84,7 +84,7 @@ fn rejected_query_emits_a_single_rejection() {
     cfg.max_queue_len = Some(0);
     cfg.sink = Some(sink.clone());
 
-    let result = run(&AlwaysAccept::new(), &mix, &cfg);
+    let result = run(Arc::new(AlwaysAccept::new()), &mix, &cfg);
     assert_eq!(result.stats.total_rejected(), 1);
 
     let events: Vec<Event> = sink
@@ -115,7 +115,7 @@ fn policy_rejections_carry_the_policy_reason() {
     cfg.measured_queries = 2_000;
     cfg.sink = Some(sink.clone());
 
-    let result = run(&MaxQueueLength::new(2), &mix, &cfg);
+    let result = run(Arc::new(MaxQueueLength::new(2)), &mix, &cfg);
     assert!(result.stats.total_rejected() > 0, "expected shedding");
 
     let events = sink.events();
@@ -154,7 +154,7 @@ fn traced_simulation_produces_exact_virtual_time_breakdowns() {
     cfg.warmup_queries = 0;
     cfg.measured_queries = 1_000;
     cfg.tracer = Some(tracer.clone());
-    let result = run(&MaxQueueLength::new(8), &mix, &cfg);
+    let result = run(Arc::new(MaxQueueLength::new(8)), &mix, &cfg);
     assert!(result.stats.total_rejected() > 0, "expected shedding");
 
     assert_eq!(tracer.sampled_total(), 1_000, "sample_every=1 keeps all");
@@ -199,7 +199,7 @@ fn policies_emit_interval_events_through_the_attached_sink() {
     cfg.sink = Some(sink.clone());
     let slos = SloConfig::uniform(&reg, Slo::p50_p90(millis(18), millis(50)));
     run(
-        &Bouncer::new(slos, BouncerConfig::with_parallelism(8)),
+        Arc::new(Bouncer::new(slos, BouncerConfig::with_parallelism(8))),
         &mix,
         &cfg,
     );
@@ -213,7 +213,7 @@ fn policies_emit_interval_events_through_the_attached_sink() {
     // MaxQWT reports its moving-average refresh on the same tick schedule.
     let sink = Arc::new(MemorySink::new());
     cfg.sink = Some(sink.clone());
-    run(&MaxQueueWaitTime::new(millis(20), 8), &mix, &cfg);
+    run(Arc::new(MaxQueueWaitTime::new(millis(20), 8)), &mix, &cfg);
     let refreshes = sink
         .events()
         .iter()

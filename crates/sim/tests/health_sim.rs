@@ -55,7 +55,7 @@ fn sim_surge_dumps_an_incident_that_postmortem_reconstructs() {
         .expect("controller wiring")
         .expect("spec has a controller");
 
-    run(policy.as_ref(), scenario.mix(), &cfg);
+    run(policy, scenario.mix(), &cfg);
 
     // Virtual-time windows closed and scored attainment without any wall
     // clock involvement.

@@ -1,5 +1,7 @@
 //! Simulator validation against conservation laws and queueing theory.
 
+use std::sync::Arc;
+
 use bouncer_core::prelude::*;
 use bouncer_core::types::TypeRegistry;
 use bouncer_metrics::time::as_millis_f64;
@@ -31,7 +33,7 @@ fn query_conservation() {
     let mut cfg = SimConfig::quick(mix.qps_full_load(100) * 1.3, 5);
     cfg.measured_queries = 60_000;
     cfg.warmup_queries = 10_000;
-    let r = run(&policy, &mix, &cfg);
+    let r = run(Arc::new(policy), &mix, &cfg);
 
     for t in &r.stats.per_type {
         assert_eq!(t.received, t.accepted + t.rejected(), "conservation");
@@ -52,7 +54,7 @@ fn utilization_matches_offered_load_below_capacity() {
     cfg.parallelism = 20;
     cfg.measured_queries = 50_000;
     cfg.warmup_queries = 5_000;
-    let r = run(&AlwaysAccept::new(), &mix, &cfg);
+    let r = run(Arc::new(AlwaysAccept::new()), &mix, &cfg);
     let util = r.utilization_pct();
     assert!((util - 60.0).abs() < 3.0, "util={util}");
     assert_eq!(r.stats.total_rejected(), 0);
@@ -73,7 +75,7 @@ fn waits_match_littles_law_at_the_queue_cap() {
     cfg.measured_queries = 100_000;
     cfg.warmup_queries = 20_000;
     let policy = MaxQueueLength::new(100);
-    let r = run(&policy, &mix, &cfg);
+    let r = run(Arc::new(policy), &mix, &cfg);
     // Expected wait when the queue holds ~100 entries: 100 / 2000 QPS = 50ms.
     let wait_p50 = r.stats.per_type[ty.index()]
         .wait
@@ -98,7 +100,7 @@ fn throughput_saturates_at_capacity() {
     cfg.measured_queries = 60_000;
     cfg.warmup_queries = 10_000;
     cfg.max_queue_len = Some(500);
-    let r = run(&AlwaysAccept::new(), &mix, &cfg);
+    let r = run(Arc::new(AlwaysAccept::new()), &mix, &cfg);
     let duration_s = r.duration as f64 / 1e9;
     let completed = r.stats.per_type[ty.index()].completed as f64;
     let throughput = completed / duration_s;
@@ -123,7 +125,7 @@ fn arrivals_are_poisson() {
     cfg.parallelism = 1_000;
     cfg.measured_queries = 100_000;
     cfg.warmup_queries = 1_000;
-    let r = run(&AlwaysAccept::new(), &mix, &cfg);
+    let r = run(Arc::new(AlwaysAccept::new()), &mix, &cfg);
     // 100k arrivals at 10k QPS = 10s; Poisson windows of 100ms hold ~1000.
     // We can't recover windows from the snapshot, so check a weaker but
     // still discriminating property: total duration matches rate.
@@ -148,7 +150,7 @@ fn rate_steps_model_a_surge() {
         cfg.measured_queries = 80_000;
         cfg.warmup_queries = 10_000;
         cfg.rate_steps = steps;
-        run(&policy, &mix, &cfg)
+        run(Arc::new(policy), &mix, &cfg)
     };
 
     let calm = run_with(vec![]);

@@ -53,7 +53,7 @@ fn main() {
         capacity * factor,
         events_path.display()
     );
-    let result = run(bouncer.as_ref(), scenario.mix(), &cfg);
+    let result = run(bouncer, scenario.mix(), &cfg);
 
     // 2. Re-read the log: every line is one JSON event.
     let log = std::fs::read_to_string(&events_path).expect("event log vanished");

@@ -41,10 +41,10 @@ fn bouncer_headline_claims_in_simulation() {
     let slos = SloConfig::uniform(&registry, Slo::p50_p90(millis(18), millis(50)));
     let bouncer = Bouncer::new(slos, BouncerConfig::with_parallelism(100));
     let cfg = SimConfig::quick(rate, 77);
-    let b = run(&bouncer, &mix, &cfg);
+    let b = run(Arc::new(bouncer), &mix, &cfg);
 
     let maxql = MaxQueueLength::new(400);
-    let q = run(&maxql, &mix, &cfg);
+    let q = run(Arc::new(maxql), &mix, &cfg);
 
     let b_rt = b.response_ms(slow, 0.5).unwrap();
     let q_rt = q.response_ms(slow, 0.5).unwrap();
@@ -112,7 +112,7 @@ fn one_policy_impl_serves_both_studies() {
     let mut cfg = SimConfig::quick(mix.qps_full_load(100), 1);
     cfg.measured_queries = 20_000;
     cfg.warmup_queries = 5_000;
-    let r = run(&policy, &mix, &cfg);
+    let r = run(Arc::new(policy), &mix, &cfg);
     assert!(r.stats.total_received() > 0);
 
     // Cluster leg with an identically constructed policy.
