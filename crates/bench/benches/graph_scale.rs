@@ -11,9 +11,9 @@
 //! Four metrics per scale, each in the `csr` (after) vs `vecvec`/`binary`
 //! (before) pairing `scripts/check.sh` gates on:
 //!
-//! * `build/*` — full generate-and-assemble wall time, one measured build
-//!   per representation (generation dominates both sides equally, so the
-//!   ratio prices the assembly paths).
+//! * `build/*` — full generate-and-assemble wall time, the min of
+//!   [`BUILDS`] builds per representation, so both sides of the ADR-001 G2
+//!   ratio are read the same way.
 //! * `bytes_per_edge/*` — resident heap bytes per stored adjacency entry,
 //!   malloc chunk overhead included (counts, not nanoseconds; the ADR-001
 //!   G1 target requires csr <= 0.5x vecvec, no tolerance).
@@ -44,6 +44,25 @@ fn report_row(id: &str, value: f64, iters: u64) {
     );
 }
 
+/// Builds timed per representation for the `build/*` rows.
+const BUILDS: usize = 3;
+
+/// Runs `build` [`BUILDS`] times and returns the last result with the
+/// fastest wall time in ns. The previous result is dropped before each
+/// build, so two graphs never share the heap.
+fn min_build<T>(build: impl Fn() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..BUILDS {
+        drop(last.take());
+        let t = Instant::now();
+        let built = build();
+        best = best.min(t.elapsed().as_nanos() as f64);
+        last = Some(built);
+    }
+    (last.expect("BUILDS > 0"), best)
+}
+
 fn bench_graph_scale(c: &mut Criterion) {
     let mut scales: Vec<(&str, u32)> = vec![("100k", 100_000), ("1m", 1_000_000)];
     if std::env::var("GRAPH_SCALE_XL").is_ok() {
@@ -61,19 +80,23 @@ fn bench_graph_scale(c: &mut Criterion) {
             seed: 0x11D,
         };
 
-        let t = Instant::now();
-        let graph = Graph::generate(&cfg);
-        let csr_build_ns = t.elapsed().as_nanos() as f64;
-        let t = Instant::now();
-        let vecg = reference::VecGraph::generate(&cfg);
-        let vec_build_ns = t.elapsed().as_nanos() as f64;
+        let (graph, csr_build_ns) = min_build(|| Graph::generate(&cfg));
+        let (vecg, vec_build_ns) = min_build(|| reference::VecGraph::generate(&cfg));
         assert_eq!(
             graph.edge_count(),
             vecg.edge_count(),
             "generators diverged at {label}"
         );
-        report_row(&format!("graph_scale/build/csr_{label}"), csr_build_ns, 1);
-        report_row(&format!("graph_scale/build/vecvec_{label}"), vec_build_ns, 1);
+        report_row(
+            &format!("graph_scale/build/csr_{label}"),
+            csr_build_ns,
+            BUILDS as u64,
+        );
+        report_row(
+            &format!("graph_scale/build/vecvec_{label}"),
+            vec_build_ns,
+            BUILDS as u64,
+        );
 
         let entries = (2 * graph.edge_count()) as f64;
         report_row(

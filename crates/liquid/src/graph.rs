@@ -10,7 +10,8 @@
 //!
 //! Storage is compressed sparse row ([`CsrGraph`]): one flat `offsets`
 //! array plus one flat `targets` array, built by a two-pass counting build
-//! (degree count → prefix sum → fill) parallelized across worker threads.
+//! (degree count → prefix sum → fill → head-only sort) parallelized across
+//! worker threads.
 //! Each shard's slice is a sub-CSR with owned vertices remapped to dense
 //! local indices — no per-vertex clones at cluster startup. The legacy
 //! `Vec<Vec<VertexId>>` storage survives only as [`reference::VecGraph`],
@@ -100,9 +101,12 @@ pub struct CsrGraph {
 impl CsrGraph {
     /// Builds the CSR from an undirected edge stream (each edge listed
     /// once, no self-loops, no duplicates) via the two-pass counting
-    /// build: degree count → prefix sum → fill, then a per-vertex sort.
-    /// All passes are parallelized across worker threads when the input
-    /// is large enough to pay for them.
+    /// build: degree count → prefix sum → fill, then a per-vertex
+    /// [`sort_head`]. The fill writes each list in stream order, so for a
+    /// generated stream only the vertex's own `m` draws need sorting; any
+    /// other stream still comes out fully sorted. All passes are
+    /// parallelized across worker threads when the input is large enough
+    /// to pay for them.
     pub fn from_edges(n: usize, edges: &[[VertexId; 2]]) -> Self {
         Self::from_edges_with_threads(n, edges, auto_threads(edges.len()))
     }
@@ -167,7 +171,7 @@ impl CsrGraph {
         }
         debug_assert_eq!(running as usize, entries);
 
-        // Pass 2: fill + per-vertex sort. Vertices are partitioned into
+        // Pass 2: fill + per-vertex head sort. Vertices are partitioned into
         // contiguous ranges holding roughly equal entry counts (balanced
         // despite power-law hubs); each worker owns a disjoint slice of
         // `targets`, scans the whole edge stream, and keeps only the
@@ -202,7 +206,7 @@ impl CsrGraph {
                     let mut start = 0usize;
                     for v in lo..hi {
                         let len = (offsets[v + 1] - offsets[v]) as usize;
-                        mine[start..start + len].sort_unstable();
+                        sort_head(&mut mine[start..start + len]);
                         start += len;
                     }
                 });
@@ -295,6 +299,31 @@ fn entry_balanced_ranges(offsets: &[u32], parts: usize) -> Vec<usize> {
     bounds
 }
 
+/// Vertices whose endpoint draws [`Graph::generate`] takes in one batch
+/// before loading any of them.
+const LOOKAHEAD: usize = 8;
+
+/// Sorts `list` ascending by sorting only its unsorted head. The longest
+/// non-decreasing suffix is the tail; the head is sorted together with
+/// the prefix of the tail that lies below the head's maximum, and the rest
+/// of the tail stays in place. The result equals `list.sort_unstable()`
+/// for any input.
+///
+/// A generated adjacency list is the vertex's own draws (unsorted, all
+/// below it) followed by its later attachers (ascending, all above it),
+/// so the CSR fill sorts `m` entries per vertex instead of the whole list.
+pub fn sort_head(list: &mut [VertexId]) {
+    let mut cut = list.len().saturating_sub(1);
+    while cut > 0 && list[cut - 1] <= list[cut] {
+        cut -= 1;
+    }
+    let Some(&max) = list[..cut].iter().max() else {
+        return;
+    };
+    let overlap = list[cut..].partition_point(|&x| x < max);
+    list[..cut + overlap].sort_unstable();
+}
+
 /// An undirected preferential-attachment graph on CSR storage.
 #[derive(Debug, Clone)]
 pub struct Graph {
@@ -308,15 +337,31 @@ pub struct Graph {
 impl Graph {
     /// Generates a preferential-attachment graph.
     ///
-    /// New vertices connect to `m` endpoints drawn from a pool containing
-    /// every prior edge endpoint, so the probability of attaching to a
-    /// vertex is proportional to its degree — yielding a power-law degree
-    /// distribution. Duplicate-target rejection is O(1) via a stamp array
-    /// (same accept/reject sequence as the legacy `targets.contains`
-    /// scan, so seeded graphs are unchanged); a vertex whose `16 * m`
-    /// draw guard exhausts before collecting `m` distinct targets is
-    /// counted in [`GraphStats::underfilled`] instead of silently
-    /// under-connecting.
+    /// New vertices connect to `m` endpoints drawn uniformly from every
+    /// prior edge endpoint, so the probability of attaching to a vertex is
+    /// proportional to its degree — yielding a power-law degree
+    /// distribution. The endpoints are read straight out of the edge list
+    /// (endpoint `k` is `edges[k / 2][k % 2]`, the same values in the same
+    /// order the legacy endpoint pool held), so there is no pool to build.
+    ///
+    /// Duplicate-target rejection is O(1) via a stamp array, with the same
+    /// accept/reject sequence as the legacy `targets.contains` scan. A
+    /// vertex whose `16 * m` draw guard exhausts before collecting `m`
+    /// distinct targets is counted in [`GraphStats::underfilled`] instead
+    /// of silently under-connecting.
+    ///
+    /// Draws are taken before the endpoints they index are loaded, so the
+    /// cache misses of a batch overlap instead of queueing behind one
+    /// another. The RNG stream is unchanged, so seeded graphs are
+    /// bit-identical to the legacy generator's:
+    ///
+    /// * the draw ranges of up to [`LOOKAHEAD`] vertices are known in
+    ///   advance if each attaches from exactly its first `m` draws, so a
+    ///   batch draws those `m` indices per vertex up front and saves the
+    ///   RNG state after each vertex;
+    /// * a vertex left short restores its saved state, redraws one index
+    ///   at a time as the legacy loop did, and ends the batch, whose later
+    ///   draws are discarded.
     pub fn generate(cfg: &GraphConfig) -> Self {
         let n = cfg.vertices as usize;
         let m = cfg.edges_per_vertex.max(1) as usize;
@@ -324,49 +369,70 @@ impl Graph {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         // Each undirected edge once, newer endpoint first.
         let mut edges: Vec<[VertexId; 2]> = Vec::with_capacity(n * m);
-        // Endpoint pool: each vertex appears once per incident edge.
-        let mut pool: Vec<VertexId> = Vec::with_capacity(2 * n * m);
 
         // Seed clique over the first m+1 vertices.
         for a in 0..=m {
             for b in (a + 1)..=m {
                 edges.push([a as VertexId, b as VertexId]);
-                pool.push(a as VertexId);
-                pool.push(b as VertexId);
             }
         }
 
         // stamp[t] == v marks t as already chosen for the vertex being
-        // attached — O(1) dedup instead of scanning the scratch list.
+        // attached — O(1) dedup instead of scanning the chosen list.
         let mut stamp = vec![VertexId::MAX; n];
-        let mut scratch: Vec<VertexId> = Vec::with_capacity(m);
+        let mut draws: Vec<usize> = Vec::with_capacity(LOOKAHEAD * m);
+        let mut saved: Vec<SmallRng> = Vec::with_capacity(LOOKAHEAD);
         let mut underfilled = 0u32;
-        for v in (m + 1)..n {
-            scratch.clear();
-            let mut guard = 0;
-            while scratch.len() < m && guard < 16 * m {
-                let t = pool[rng.random_range(0..pool.len())];
-                guard += 1;
-                if t as usize != v && stamp[t as usize] != v as VertexId {
-                    stamp[t as usize] = v as VertexId;
-                    scratch.push(t);
+        // Accepts the endpoints `draws` index for vertex `v`, in draw order.
+        let attach =
+            |edges: &mut Vec<[VertexId; 2]>, stamp: &mut [VertexId], v: usize, draws: &[usize]| {
+                for &k in draws {
+                    let t = edges[k >> 1][k & 1];
+                    if t as usize != v && stamp[t as usize] != v as VertexId {
+                        stamp[t as usize] = v as VertexId;
+                        edges.push([v as VertexId, t]);
+                    }
                 }
+            };
+        let mut v = m + 1;
+        while v < n {
+            let base = edges.len();
+            draws.clear();
+            saved.clear();
+            for i in 0..LOOKAHEAD.min(n - v) {
+                let endpoints = 2 * (base + i * m);
+                draws.extend((0..m).map(|_| rng.random_range(0..endpoints)));
+                saved.push(rng.clone());
             }
-            if scratch.len() < m {
-                underfilled += 1;
-            }
-            for &t in &scratch {
-                edges.push([v as VertexId, t]);
-                pool.push(v as VertexId);
-                pool.push(t);
+            for (first, after) in draws.chunks(m).zip(&saved) {
+                let before = edges.len();
+                attach(&mut edges, &mut stamp, v, first);
+                let short = edges.len() - before < m;
+                if short {
+                    // Rewind to just after this vertex's first m draws and
+                    // redraw one at a time, as the legacy loop did.
+                    rng = after.clone();
+                    let mut guard = m;
+                    while edges.len() - before < m && guard < 16 * m {
+                        let k = rng.random_range(0..2 * before);
+                        guard += 1;
+                        attach(&mut edges, &mut stamp, v, &[k]);
+                    }
+                    if edges.len() - before < m {
+                        underfilled += 1;
+                    }
+                }
+                v += 1;
+                if short {
+                    break;
+                }
             }
         }
         debug_assert_eq!(
             underfilled, 0,
             "generator guard exhausted on {underfilled} vertices \
-             (pool too small for m={m}?)"
+             (too few endpoints for m={m}?)"
         );
-        drop(pool);
         drop(stamp);
 
         let edge_count = edges.len() as u64;
@@ -846,12 +912,16 @@ mod tests {
 
     #[test]
     fn generation_matches_legacy_reference() {
-        // The CSR pipeline (stamp dedup + counting build) must reproduce
-        // the legacy push/sort/dedup graph exactly, seed for seed.
-        for seed in [7, 21, 0x11D] {
+        // The CSR pipeline (stamp dedup + draw-then-load lookahead +
+        // counting build) must reproduce the legacy push/sort/dedup graph
+        // exactly, seed for seed. The dense configs redraw often, so the
+        // lookahead's rewind path runs on most batches.
+        let sparse = [7, 21, 0x11D].map(|seed| (3_000, 5, seed));
+        let dense = [(64, 16, 1), (100, 12, 2), (128, 8, 3), (200, 10, 4), (256, 16, 0x11D)];
+        for (vertices, edges_per_vertex, seed) in sparse.into_iter().chain(dense) {
             let cfg = GraphConfig {
-                vertices: 3_000,
-                edges_per_vertex: 5,
+                vertices,
+                edges_per_vertex,
                 seed,
             };
             let csr = Graph::generate(&cfg);

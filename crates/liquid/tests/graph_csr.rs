@@ -2,20 +2,42 @@
 //! references: the flat `offsets`/`targets` representation against the
 //! legacy `Vec<Vec<VertexId>>` adjacency ([`liquid::graph::reference`]),
 //! the zero-clone sub-CSR shard slices against the old cloned slices,
-//! and the adaptive intersection kernel against the per-element
-//! binary-search filter.
+//! the adaptive intersection kernel against the per-element
+//! binary-search filter, and the CSR fill's head-only sort against
+//! `sort_unstable`.
 
-use liquid::graph::{intersect_count, reference::VecGraph, Graph, GraphConfig};
+use liquid::graph::{intersect_count, reference::VecGraph, sort_head, Graph, GraphConfig};
 use proptest::prelude::*;
 
+/// Generator configs of two shapes: sparse (up to 2 048 vertices, m < 8)
+/// and dense (64–256 vertices, m = 8–16). Dense configs draw duplicate
+/// endpoints often, so the generator's redraw-and-rewind path runs on
+/// most batches.
 fn arb_cfg() -> impl Strategy<Value = GraphConfig> {
-    (64u32..2_048, 1u32..8, any::<u64>()).prop_map(|(vertices, edges_per_vertex, seed)| {
-        GraphConfig {
-            vertices,
-            edges_per_vertex,
-            seed,
-        }
-    })
+    let cfg = |(vertices, edges_per_vertex, seed)| GraphConfig {
+        vertices,
+        edges_per_vertex,
+        seed,
+    };
+    prop_oneof![
+        (64u32..2_048, 1u32..8, any::<u64>()).prop_map(cfg),
+        (64u32..=256, 8u32..=16, any::<u64>()).prop_map(cfg),
+    ]
+}
+
+/// A list shaped like a generated adjacency list before its sort: an
+/// unsorted head followed by an ascending tail. Head and tail are drawn
+/// from one small universe, so they overlap on most cases.
+fn arb_head_then_tail() -> impl Strategy<Value = Vec<u32>> {
+    (
+        prop::collection::vec(0u32..64, 0..12),
+        prop::collection::vec(0u32..64, 0..24),
+    )
+        .prop_map(|(mut head, mut tail)| {
+            tail.sort_unstable();
+            head.extend(tail);
+            head
+        })
 }
 
 /// A sorted, duplicate-free id list — the only shape the intersection
@@ -52,6 +74,22 @@ proptest! {
             }
             let probe = (v + 1) % cfg.vertices;
             prop_assert_eq!(csr.has_edge(v, probe), vec.has_edge(v, probe));
+        }
+    }
+
+    /// The head-only sort equals a full sort on arbitrary lists and on
+    /// head-then-ascending-tail lists whose head overlaps the tail.
+    #[test]
+    fn sort_head_matches_sort_unstable(
+        any_list in prop::collection::vec(any::<u32>(), 0..48),
+        shaped in arb_head_then_tail(),
+    ) {
+        for list in [any_list, shaped] {
+            let mut want = list.clone();
+            want.sort_unstable();
+            let mut got = list.clone();
+            sort_head(&mut got);
+            prop_assert_eq!(got, want, "input {:?}", list);
         }
     }
 
@@ -117,6 +155,27 @@ proptest! {
             intersect_count(&short, &base),
             VecGraph::intersect_count_binary(&short, &base)
         );
+    }
+}
+
+#[test]
+fn sort_head_edge_shapes() {
+    let cases: &[&[u32]] = &[
+        &[],
+        &[5],
+        &[1, 2, 3],          // already sorted: no head
+        &[3, 2, 1],          // descending: one-element tail
+        &[9, 4, 7, 10, 11],  // generated shape: head below the tail
+        &[9, 4, 12, 10, 11], // head max above the tail min
+        &[4, 4, 1, 4, 4],    // duplicates across the cut
+        &[u32::MAX, 0, 0, u32::MAX],
+    ];
+    for &list in cases {
+        let mut want = list.to_vec();
+        want.sort_unstable();
+        let mut got = list.to_vec();
+        sort_head(&mut got);
+        assert_eq!(got, want, "{list:?}");
     }
 }
 

@@ -300,11 +300,13 @@ printf '%s\n' "$GRAPH_OUT" | awk '
     # Lines look like:
     #   graph_scale/bytes_per_edge/csr_1m  time: [4.50 ns 4.50 ns 4.50 ns]  (1 iters)
     # Emit one JSON object keyed metric/variant with ns-normalized stats
-    # (build rows are wall time, bytes_per_edge rows are counts).
+    # (build rows are wall time, bytes_per_edge rows are counts). A 1M
+    # build can pass one second, which the row prints in "s".
     function ns(v, u) {
         if (u == "ns") return v
         if (u == "µs" || u == "us") return v * 1000
         if (u == "ms") return v * 1000000
+        if (u == "s") return v * 1000000000
         return v
     }
     {
